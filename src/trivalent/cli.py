@@ -167,7 +167,7 @@ def cmd_delta(args):
 def cmd_rank(args):
     f = load_weights(args.weights)
     corpus = enumeration.enumerate_fixed_diagrams(args.legs, args.max_vertices)
-    if args.max_corpus:
+    if args.max_corpus is not None:
         corpus = corpus.head(args.max_corpus)
     cm = relations.connection_matrix(f, corpus)
     r = relations.rank(cm)
@@ -224,11 +224,15 @@ def cmd_canon(args):
     return 0
 
 
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="trivalent",
                                 description="Weight systems on trivalent diagrams")
-    p.add_argument("--threads", type=int, default=1,
-                   help="max worker threads (evaluation is deterministic regardless)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("eval", help="evaluate a partition function on a diagram")
@@ -262,7 +266,7 @@ def build_parser():
     q.add_argument("--weights", required=True, help="algebra name or table.json")
     q.add_argument("--legs", type=int, required=True)
     q.add_argument("--max-vertices", type=int, required=True)
-    q.add_argument("--max-corpus", type=int, default=None,
+    q.add_argument("--max-corpus", type=_positive_int, default=None,
                    help="cap the corpus to its first N diagrams")
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_rank)

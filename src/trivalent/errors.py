@@ -87,6 +87,10 @@ class TooLarge(TrivalentError):
     pass
 
 
+class DanglingAxes(TrivalentError):
+    """A diagram's tensor network leaves open axes that are not its legs."""
+
+
 class TableMiss(TrivalentError):
     def __init__(self, code):
         self.code = code

@@ -6,19 +6,22 @@ order; every vertexless loop contributes a factor of the dimension.  The
 open variant on a k-legged diagram keeps the leg edges uncolored and
 returns the rank-k tensor indexed in leg-label order.
 
-Evaluation contracts the diagram as a tensor network: loop edges are
-self-traces of one tensor copy, then tensor pairs are merged greedily,
-always picking the pair whose intermediate has the fewest open indices
-(ties broken by lowest edge id).  `brute_force_oracle` is the literal
-sum over all colorings and is kept deliberately independent of the
-planner so the two can check each other.
+Evaluation contracts the diagram as a tensor network.  `plan` reads its
+shape alone and merges node pairs greedily, fewest open indices first;
+when that order would cost many multiplies, random tie-breaks are tried
+too.  `execute` runs a plan with `tensordot` after refusing one whose peak
+intermediate exceeds MAX_ENTRIES.  `brute_force_oracle` is the literal
+coloring sum, kept independent of the planner so the two check each other.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +36,12 @@ from .diagrams import (
     glue,
     require_no_legs,
 )
-from .errors import LegCountMismatch, TableMiss, TooLarge
+from .errors import DanglingAxes, LegCountMismatch, TableMiss, TooLarge
+
+#: no intermediate of more entries is allocated; over it, `TooLarge`
+MAX_ENTRIES = 2 ** 24
+#: a plan costing this many multiplies or more is also tried with RESTARTS random ties
+RESTART_MULTS, RESTARTS = 10 ** 7, 8
 
 
 @dataclass
@@ -69,113 +77,136 @@ def _edge_ids(g: FixedDiagram):
     return eid
 
 
-def _self_trace(tensor, axes):
-    """Contract any label occurring twice within one node."""
-    while True:
-        dup = None
-        for i, lab in enumerate(axes):
-            j = axes.index(lab)
-            if j != i:
-                dup = (j, i)
-                break
-        if dup is None:
-            return tensor, axes
-        i, j = dup
-        tensor = np.trace(tensor, axis1=i, axis2=j)
-        axes = [lab for t, lab in enumerate(axes) if t not in (i, j)]
+class Plan(NamedTuple):
+    """A contraction order read from a diagram's shape, valid for any tensor.
+
+    Nodes are vertex v's tensor (traced over the axis pair `traces[v]` at a
+    loop edge), then `eyes` identities for leg-to-leg edges.  Step (i, j,
+    pos_i, pos_j) contracts nodes i and j over those axes (an outer product
+    when empty) into the next node, of rank `ranks[step]`; `perm` orders
+    the last node's axes by leg label.
+    """
+
+    traces: tuple
+    eyes: int
+    steps: tuple
+    ranks: tuple
+    perm: tuple
+
+    @property
+    def peak(self):
+        """Largest intermediate rank: it holds dim**peak entries."""
+        return max(self.ranks, default=0)
+
+    def mults(self, dim):
+        """Scalar multiplies `execute` makes at this dimension."""
+        return sum(dim ** (r + len(s[2])) for r, s in zip(self.ranks, self.steps))
 
 
-def _build_nodes(c: StructureTensor, g: FixedDiagram):
-    eid = _edge_ids(g)
-    lab = _leg_label_map(g)
-
-    def axis_label(dart):
-        p = g.partner[dart]
-        if lab[p]:
-            return ("leg", lab[p])
-        return ("e", eid[dart])
-
-    nodes = []
+def plan(g: FixedDiagram, rng=None) -> Plan:
+    """Greedy plan read from `g`'s shape alone: merge the two nodes sharing
+    an edge whose result has the fewest open indices, ties to the lowest
+    edge id or, given a `random.Random`, at random; join what is left by
+    outer products.  Open axes other than the legs raise `DanglingAxes`."""
+    eid, lab = _edge_ids(g), _leg_label_map(g)
+    nodes, traces = [], []
     for tri in g.vertices:
-        tensor, axes = _self_trace(c.entries, [axis_label(x) for x in tri])
-        nodes.append((tensor, axes))
-    for a, b in g.edges():
-        if lab[a] and lab[b]:
-            nodes.append((algebras.eye_array(c.dim, c.backend),
-                          [("leg", lab[a]), ("leg", lab[b])]))
-    return nodes
+        axes = [-lab[g.partner[x]] if lab[g.partner[x]] else eid[x] for x in tri]
+        tr = next(((i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if axes[i] == axes[j]), None)
+        traces.append(tr)
+        nodes.append([a for t, a in enumerate(axes) if tr is None or t not in tr])
+    eyes = [[-lab[a], -lab[b]] for a, b in g.edges() if lab[a] and lab[b]]
+    nodes += eyes
+    adj, seen = [{} for _ in nodes], {}         # node -> {neighbour: shared edges}
+    for n, axes in enumerate(nodes):
+        for a in axes:
+            if a in seen:
+                adj[n][seen[a]] = adj[seen[a]].setdefault(n, [])
+                adj[n][seen[a]].append(a)
+            seen[a] = n
+    tie = (lambda shared: rng.random()) if rng else min
+    # a pair's cost is fixed while both nodes live, so stale entries are skipped
+    heap = [(len(nodes[i]) + len(nodes[j]) - 2 * len(sh), tie(sh), i, j)
+            for i in range(len(nodes)) for j, sh in adj[i].items() if i < j]
+    heapq.heapify(heap)
+    steps, ranks = [], []
+
+    def merge(i, j, shared):
+        ai, aj, n = nodes[i], nodes[j], len(nodes)
+        new = [a for a in ai + aj if a not in shared]
+        steps.append((i, j, tuple(map(ai.index, shared)), tuple(map(aj.index, shared))))
+        ranks.append(len(new))
+        nodes[i] = nodes[j] = None
+        nodes.append(new)
+        adj.append({})
+        for m, sh in itertools.chain(adj[i].items(), adj[j].items()):
+            if nodes[m] is not None:
+                adj[n].setdefault(m, []).extend(sh)
+        for m, sh in adj[n].items():
+            adj[m][n] = sh
+            heapq.heappush(heap, (len(nodes[m]) + len(new) - 2 * len(sh), tie(sh), m, n))
+
+    while heap:
+        *_, i, j = heapq.heappop(heap)
+        if nodes[i] is not None and nodes[j] is not None:
+            merge(i, j, adj[i][j])
+    rest = sorted((n for n, ax in enumerate(nodes) if ax is not None),
+                  key=lambda n: -len(nodes[n]))
+    while len(rest) > 1:
+        merge(rest.pop(), rest.pop(), [])
+        rest.append(len(nodes) - 1)
+    out = nodes[rest[0]] if rest else []
+    if sorted(out) != list(range(-g.num_legs, 0)):
+        raise DanglingAxes(f"contraction leaves axes {out}, not the {g.num_legs} legs")
+    return Plan(tuple(traces), len(eyes), tuple(steps), tuple(ranks),
+                tuple(out.index(-k) for k in range(1, g.num_legs + 1)))
 
 
-def _contract_network(c: StructureTensor, g: FixedDiagram, order=None):
-    """Contract all internal edges; returns (tensor, axis labels)."""
-    nodes = _build_nodes(c, g)
-    while True:
-        holders = {}
-        for i, (_, axes) in enumerate(nodes):
-            for labl in axes:
-                if labl[0] == "e":
-                    holders.setdefault(labl, []).append(i)
-        pairs = {}
-        for labl, hs in holders.items():
-            if len(hs) == 2:
-                key = (hs[0], hs[1])
-                pairs.setdefault(key, []).append(labl)
-        if not pairs:
-            break
-        if order is not None:
-            i, j = order.choice(sorted(pairs))
-        else:
-            def cost(key):
-                i, j = key
-                shared = len(pairs[key])
-                open_count = len(nodes[i][1]) + len(nodes[j][1]) - 2 * shared
-                return (open_count, min(labl[1] for labl in pairs[key]))
-            i, j = min(pairs, key=cost)
-        shared = pairs[(i, j)]
-        ti, ax_i = nodes[i]
-        tj, ax_j = nodes[j]
-        pos_i = [ax_i.index(s) for s in shared]
-        pos_j = [ax_j.index(s) for s in shared]
-        merged = np.tensordot(ti, tj, axes=(pos_i, pos_j))
-        new_axes = [a for a in ax_i if a not in shared] + \
-                   [a for a in ax_j if a not in shared]
-        keep = [nodes[t] for t in range(len(nodes)) if t not in (i, j)]
-        keep.append((merged, new_axes))
-        nodes = keep
-
-    out = np.array(algebras.one(c.backend),
-                   dtype=object if c.backend == RATIONAL else complex)
-    out_axes = []
-    for tensor, axes in nodes:
-        out = np.tensordot(out, tensor, axes=0)
-        out_axes.extend(axes)
-    return out, out_axes
+def _plan_for(g: FixedDiagram, dim):
+    """`plan(g)`, or if that costs RESTART_MULTS multiplies or more at this
+    dimension, the cheapest of it and RESTARTS passes with random ties."""
+    p = plan(g)
+    if p.mults(dim) >= RESTART_MULTS:
+        p = min([p] + [plan(g, random.Random(s)) for s in range(RESTARTS)],
+                key=lambda q: q.mults(dim))
+    return p
 
 
-def partition_function(c: StructureTensor, g: FixedDiagram, order=None):
-    """Closed evaluation on a 0-legged diagram."""
+def execute(c: StructureTensor, p: Plan):
+    """Run plan `p` on `c`, or raise `TooLarge` before allocating anything
+    when an intermediate would exceed MAX_ENTRIES."""
+    if c.dim ** p.peak > MAX_ENTRIES:
+        raise TooLarge(f"contraction needs {c.dim}^{p.peak} = {c.dim ** p.peak} "
+                       f"entries in one intermediate, over the limit of {MAX_ENTRIES}")
+    vals = [c.entries if t is None else np.trace(c.entries, axis1=t[0], axis2=t[1])
+            for t in p.traces]
+    vals += [algebras.eye_array(c.dim, c.backend) for _ in range(p.eyes)]
+    for i, j, pos_i, pos_j in p.steps:
+        vals.append(np.tensordot(vals[i], vals[j], axes=(pos_i, pos_j)))
+        vals[i] = vals[j] = None
+    if not vals:
+        return np.array(algebras.one(c.backend),
+                        dtype=object if c.backend == RATIONAL else complex)
+    return vals[-1]
+
+
+def partition_function(c: StructureTensor, g: FixedDiagram, plan=None):
+    """Closed evaluation on a 0-legged diagram, by `plan` if given."""
     require_no_legs(g)
-    tensor, axes = _contract_network(c, g, order=order)
-    assert not axes
-    val = tensor[()]
+    val = execute(c, _plan_for(g, c.dim) if plan is None else plan)[()]
     if g.loop_count:
         val = val * c.dim ** g.loop_count
     return val if c.backend == RATIONAL else complex(val)
 
 
 def open_partition_function(c: StructureTensor, g: FixedDiagram,
-                            order=None) -> DenseTensor:
+                            plan=None) -> DenseTensor:
     """Open evaluation on a k-legged diagram: a rank-k tensor, axes by leg label."""
-    tensor, axes = _contract_network(c, g, order=order)
-    k = g.num_legs
-    want = [("leg", i) for i in range(1, k + 1)]
-    if sorted(axes) != sorted(want):
-        raise AssertionError(f"unexpected open axes {axes}")
-    if k:
-        tensor = np.transpose(tensor, [axes.index(w) for w in want])
+    p = _plan_for(g, c.dim) if plan is None else plan
+    tensor = np.transpose(execute(c, p), p.perm)
     if g.loop_count:
         tensor = tensor * (c.dim ** g.loop_count)
-    return DenseTensor(c.dim, k, tensor, c.backend)
+    return DenseTensor(c.dim, g.num_legs, tensor, c.backend)
 
 
 def brute_force_oracle(c: StructureTensor, g: FixedDiagram, guard=10 ** 7):

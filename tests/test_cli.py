@@ -114,6 +114,20 @@ class TestRank:
         jsonschema.validate(rep, schema("report.schema.json"))
         assert rep["params"]["rank"] <= 1
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_corpus_must_be_positive(self, capsys, cap):
+        with pytest.raises(SystemExit) as info:
+            main(["rank", "--weights", "so3", "--legs", "2", "--max-vertices", "2",
+                  "--max-corpus", cap, "--json"])
+        assert info.value.code == 2
+        out = capsys.readouterr()
+        assert not out.out and "--max-corpus" in out.err
+
+    def test_max_corpus_caps(self, capsys):
+        code, out, _ = run(capsys, "rank", "--weights", "so3", "--legs", "2",
+                           "--max-vertices", "2", "--max-corpus", "4", "--json")
+        assert code == 0 and json.loads(out)["params"]["corpus"] == 4
+
     def test_table_weights(self, capsys, tmp_path):
         from trivalent import flip_vertex
         table = {

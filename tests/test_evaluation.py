@@ -1,10 +1,14 @@
+import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from trivalent import (
+    FixedDiagram,
     TableBacked,
     TensorBacked,
     abelian,
@@ -27,12 +31,14 @@ from trivalent import (
     random_structure_tensor,
     sl2_killing,
     so3_eps,
+    so_n_rational,
     theta,
     tri_star,
     tripod,
     vertexless_loop,
 )
-from trivalent.errors import HasLegs, LegCountMismatch, TableMiss, TooLarge
+from trivalent.errors import DanglingAxes, HasLegs, LegCountMismatch, TableMiss, TooLarge
+from trivalent.evaluation import MAX_ENTRIES, _plan_for, plan
 
 
 class TestPartitionFunction:
@@ -115,12 +121,20 @@ class TestOracle:
             brute_force_oracle(abelian(10), _ten_edges())
 
     def test_plan_independence(self):
-        rng = random.Random(12)
         c = so3_eps()
-        for g in (k4(), edge_connected_sum(theta(), 0, k4(), 2)):
+        closed = [k4(), edge_connected_sum(theta(), 0, k4(), 2),
+                  *random_diagram_corpus(0, 4, 8, seed=3, min_vertices=6)]
+        for g in closed:
             ref = partition_function(c, g)
-            for _ in range(6):
-                assert partition_function(c, g, order=rng) == ref
+            plans = {plan(g, random.Random(s)) for s in range(6)}
+            assert len(plans) > 1
+            for p in plans:
+                assert partition_function(c, g, plan=p) == ref
+        for g in random_diagram_corpus(3, 4, 6, seed=8):
+            ref = open_partition_function(c, g).entries
+            for s in range(4):
+                p = plan(g, random.Random(s))
+                assert (open_partition_function(c, g, plan=p).entries == ref).all()
 
     def test_oracle_equals_planner_small_sweep(self):
         corpus = enumerate_fixed_diagrams(0, 2)
@@ -128,6 +142,99 @@ class TestOracle:
             c = so3_eps() if n == 3 else random_structure_tensor(n, seed=seed)
             for g in corpus:
                 assert partition_function(c, g) == brute_force_oracle(c, g)
+
+
+class TestPlan:
+    @staticmethod
+    def _count_tensordot(monkeypatch):
+        calls = []
+        real = np.tensordot
+
+        def counted(a, b, axes):
+            out = real(a, b, axes)
+            calls.append((out.ndim, out.size * math.prod(a.shape[i] for i in axes[0])))
+            return out
+
+        monkeypatch.setattr(np, "tensordot", counted)
+        return calls
+
+    def test_prediction_matches_execution(self, monkeypatch):
+        calls = self._count_tensordot(monkeypatch)
+        c = random_structure_tensor(4, seed=2).to_complex()
+        corpus = [*random_diagram_corpus(0, 6, 12, seed=5),
+                  *random_diagram_corpus(4, 6, 6, seed=6),
+                  disjoint_union(theta(), k4()), identity_pairing(2), tri_star(2)]
+        for g in corpus:
+            for p in (plan(g), plan(g, random.Random(1))):
+                calls.clear()
+                open_partition_function(c, g, plan=p)
+                assert len(calls) == len(p.steps)
+                assert max((r for r, _ in calls), default=0) == p.peak
+                assert sum(m for _, m in calls) == p.mults(c.dim)
+
+    def test_closed_result_read_directly(self, monkeypatch):
+        calls = self._count_tensordot(monkeypatch)
+        partition_function(so3_eps(), k4())
+        assert len(calls) == 3          # one per merge, no final outer product
+
+    def test_size_guard_before_allocation(self, monkeypatch):
+        calls = self._count_tensordot(monkeypatch)
+        g, = random_diagram_corpus(0, 1, 60, seed=0, min_vertices=60)
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge) as info:
+            partition_function(so_n_rational(5), g)
+        assert time.perf_counter() - t0 < 1.0
+        m = re.search(r"10\^(\d+) = (\d+) entries", str(info.value))
+        assert m and int(m[2]) == 10 ** int(m[1]) > MAX_ENTRIES
+        assert not calls
+
+    def test_dangling_axes_are_typed(self):
+        # darts 3 and 5 are each claimed by two edges, so edges 0 and 2 have one end
+        g = FixedDiagram._raw(((0, 1, 2), (3, 4, 5)), (), (3, 3, 5, 0, 5, 2), 0)
+        with pytest.raises(DanglingAxes):
+            partition_function(so3_eps(), g)
+        with pytest.raises(DanglingAxes):
+            open_partition_function(so3_eps(), g)
+
+    def test_against_exhaustive_optimum(self):
+        corpus = random_diagram_corpus(0, 40, 8, seed=17)
+        improved = 0
+        for g in corpus:
+            for dim in (3, 8, 64):
+                greedy, best = plan(g).mults(dim), _plan_for(g, dim).mults(dim)
+                assert optimal_mults(g, dim) <= best <= greedy
+                improved += best < greedy
+        assert improved
+
+
+def optimal_mults(g, dim):
+    """Fewest multiplies over all pairwise contraction trees of a closed
+    diagram, by dynamic programming over node subsets."""
+    edge = {d: min(d, g.partner[d]) for d in range(g.num_darts)}
+    masks = []
+    for tri in g.vertices:
+        m = 0
+        for x in tri:
+            m ^= 1 << edge[x]           # a loop edge cancels itself
+        masks.append(m)
+    full = (1 << len(masks)) - 1
+    open_ = [0] * (full + 1)
+    cost = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        open_[s] = open_[s ^ low] ^ masks[low.bit_length() - 1]
+        if s == low:
+            continue
+        best = None
+        a = (s - 1) & s
+        while a:
+            if a & low:
+                b = s ^ a
+                c = cost[a] + cost[b] + dim ** bin(open_[a] | open_[b]).count("1")
+                best = c if best is None else min(best, c)
+            a = (a - 1) & s
+        cost[s] = best
+    return cost[full]
 
 
 def _ten_edges():
