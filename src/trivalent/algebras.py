@@ -214,27 +214,8 @@ class MetricLieAlgebra:
 
     def killing_gram(self):
         """K(u_i,u_j) = tr(ad u_i ad u_j), computed from the bracket constants."""
-        b = self.bracket
         # (ad u_i)_{k j} = B[i,j,k];  K_ij = sum_{k,l} B[i,l,k] B[j,k,l]
-        return np.einsum("ilk,jkl->ij", b, b) if b.dtype != object else \
-            _object_einsum_killing(b)
-
-    def with_killing_metric(self):
-        return MetricLieAlgebra(self.dim, self.bracket, self.killing_gram(),
-                                backend=self.backend)
-
-
-def _object_einsum_killing(b):
-    n = b.shape[0]
-    out = zeros_array((n, n), RATIONAL)
-    for i in range(n):
-        for j in range(n):
-            s = Fraction(0)
-            for k in range(n):
-                for l in range(n):
-                    s += b[i, l, k] * b[j, k, l]
-            out[i, j] = s
-    return out
+        return np.einsum("ilk,jkl->ij", self.bracket, self.bracket)
 
 
 def orthonormalize(g: MetricLieAlgebra, retries: int = 8) -> StructureTensor:

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 usage or IO
-error.  Human-readable messages go to stderr; with --json the machine
-report goes to stdout.  Every command that uses randomness requires an
-explicit --seed.
+error (negative counts such as `--legs -1` included).  Human-readable
+messages go to stderr; with --json the machine report goes to stdout.
+Every command that uses randomness requires an explicit --seed.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def load_graph(spec: str) -> diagrams.FixedDiagram:
     return diagrams.from_json_dict(json.loads(Path(spec).read_text()))
 
 
-def load_weights(spec: str, legs_hint=None):
+def load_weights(spec: str):
     path = Path(spec)
     if path.suffix == ".json" and path.exists():
         obj = json.loads(path.read_text())
@@ -224,10 +224,13 @@ def cmd_canon(args):
     return 0
 
 
-def _positive_int(text):
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return int(text)
+def _at_least(low):
+    """argparse type: an integer no smaller than `low`."""
+    def count(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return int(text)
+    return count
 
 
 def build_parser():
@@ -264,9 +267,9 @@ def build_parser():
 
     q = sub.add_parser("rank", help="connection-matrix rank against the bound")
     q.add_argument("--weights", required=True, help="algebra name or table.json")
-    q.add_argument("--legs", type=int, required=True)
-    q.add_argument("--max-vertices", type=int, required=True)
-    q.add_argument("--max-corpus", type=_positive_int, default=None,
+    q.add_argument("--legs", type=_at_least(0), required=True)
+    q.add_argument("--max-vertices", type=_at_least(0), required=True)
+    q.add_argument("--max-corpus", type=_at_least(1), default=None,
                    help="cap the corpus to its first N diagrams")
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_rank)
@@ -277,8 +280,8 @@ def build_parser():
     q.set_defaults(func=cmd_gen)
 
     q = sub.add_parser("enum", help="enumerate diagrams into a directory")
-    q.add_argument("--legs", type=int, required=True)
-    q.add_argument("--max-vertices", type=int, required=True)
+    q.add_argument("--legs", type=_at_least(0), required=True)
+    q.add_argument("--max-vertices", type=_at_least(0), required=True)
     q.add_argument("--out", required=True)
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_enum)

@@ -10,8 +10,9 @@ Evaluation contracts the diagram as a tensor network.  `plan` reads its
 shape alone and merges node pairs greedily, fewest open indices first;
 when that order would cost many multiplies, random tie-breaks are tried
 too.  `execute` runs a plan with `tensordot` after refusing one whose peak
-intermediate exceeds MAX_ENTRIES.  `brute_force_oracle` is the literal
-coloring sum, kept independent of the planner so the two check each other.
+intermediate exceeds MAX_ENTRIES.  `open_brute_force` is the literal
+coloring sum (`brute_force_oracle` its closed value), kept independent of
+the planner so the two check each other.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebras
-from .algebras import RATIONAL, StructureTensor, max_abs
+from .algebras import RATIONAL, StructureTensor
 from .diagrams import (
     FixedDiagram,
     _component_items,
@@ -53,12 +54,12 @@ class DenseTensor:
     entries: np.ndarray
     backend: str
 
+    def __post_init__(self):
+        self.entries = np.asarray(self.entries)  # a 0-d product may be a bare scalar
+
     def item(self):
         v = self.entries[()] if self.rank == 0 else self.entries.item()
         return v if self.backend == RATIONAL else complex(v)
-
-    def max_abs(self):
-        return max_abs(self.entries)
 
     def bilinear_dot(self, other: "DenseTensor"):
         """Non-conjugated entrywise dot (the pairing both sides of the
@@ -210,44 +211,26 @@ def open_partition_function(c: StructureTensor, g: FixedDiagram,
 
 
 def brute_force_oracle(c: StructureTensor, g: FixedDiagram, guard=10 ** 7):
-    """Literal sum over all n^|E| edge colorings; exact transcription."""
+    """Closed coloring-sum oracle: the rank-0 value of `open_brute_force`."""
     require_no_legs(g)
-    edges = g.edges()
-    n = c.dim
-    if n ** len(edges) > guard:
-        raise TooLarge(f"{n}^{len(edges)} colorings exceed the guard")
-    eid = _edge_ids(g)
-    ent = c.entries
-    total = algebras.zero(c.backend)
-    for psi in itertools.product(range(n), repeat=len(edges)):
-        term = algebras.one(c.backend)
-        for a, b, d in g.vertices:
-            term = term * ent[psi[eid[a]], psi[eid[b]], psi[eid[d]]]
-        total += term
-    return total * n ** g.loop_count
+    return open_brute_force(c, g, guard).item()
 
 
 def open_brute_force(c: StructureTensor, g: FixedDiagram, guard=10 ** 7) -> DenseTensor:
-    """Coloring-sum oracle for the open evaluation."""
-    edges = g.edges()
-    n = c.dim
-    if n ** len(edges) > guard:
-        raise TooLarge(f"{n}^{len(edges)} colorings exceed the guard")
-    eid = _edge_ids(g)
-    lab = _leg_label_map(g)
-    leg_edge = [eid[dart] for dart in g.legs]
-    ent = c.entries
-    k = g.num_legs
-    out = algebras.zeros_array((n,) * k, c.backend)
-    for psi in itertools.product(range(n), repeat=len(edges)):
+    """Literal sum over all n^|E| edge colorings, leg edges kept as axes;
+    an exact transcription that never calls `plan` or `execute`."""
+    n, num_edges = c.dim, g.num_darts // 2
+    if n ** num_edges > guard:
+        raise TooLarge(f"{n}^{num_edges} colorings exceed the guard")
+    eid, ent = _edge_ids(g), c.entries
+    leg_edges = [eid[dart] for dart in g.legs]
+    out = algebras.zeros_array((n,) * g.num_legs, c.backend)
+    for psi in itertools.product(range(n), repeat=num_edges):
         term = algebras.one(c.backend)
         for a, b, d in g.vertices:
             term = term * ent[psi[eid[a]], psi[eid[b]], psi[eid[d]]]
-        idx = tuple(psi[e] for e in leg_edge)
-        out[idx] += term
-    if g.loop_count:
-        out = out * (n ** g.loop_count)
-    return DenseTensor(n, k, out, c.backend)
+        out[tuple(psi[e] for e in leg_edges)] += term
+    return DenseTensor(n, g.num_legs, out * n ** g.loop_count, c.backend)
 
 
 def pairing_identity_check(c: StructureTensor, g: FixedDiagram, h: FixedDiagram):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebras
+from . import algebras, evaluation
 from .algebras import RATIONAL, StructureTensor, direct_sum, max_abs
 from .diagrams import (
     DiagramCorpus,
@@ -139,10 +139,38 @@ class ConnectionMatrix:
 
 
 def connection_matrix(f, corpus: DiagramCorpus) -> ConnectionMatrix:
-    """Matrix of f-values of pairwise gluings of the corpus diagrams."""
+    """Matrix of f-values of pairwise gluings of the corpus diagrams.
+
+    Tensor-backed, it is A A^T by the gluing duality f(glue(g, h)) =
+    <Z(g), Z(h)>, row g of A the open evaluation Z(g), if A fits in
+    MAX_ENTRIES.  Otherwise each unordered pair is glued and evaluated once.
+    """
     items = list(corpus)
-    entries = [[f.evaluate(glue(g, h)) for h in items] for g in items]
+    if items and isinstance(f, TensorBacked) and (
+            len(items) * f.tensor.dim ** corpus.legs <= evaluation.MAX_ENTRIES):
+        try:
+            return ConnectionMatrix(corpus.legs, corpus, _gram(f.tensor, items), f.backend)
+        except TooLarge:  # a row's contraction is over the limit: glue instead
+            pass
+    entries = [[None] * len(items) for _ in items]
+    for i, g in enumerate(items):
+        for j in range(i, len(items)):  # glue(g, h) and glue(h, g) are one diagram
+            entries[i][j] = entries[j][i] = f.evaluate(glue(g, items[j]))
     return ConnectionMatrix(corpus.legs, corpus, entries, f.backend)
+
+
+def _gram(c: StructureTensor, items):
+    """A A^T with rows of A the flattened open evaluations: rational ones
+    exactly, as Python integers over one common denominator."""
+    rows = [open_partition_function(c, g).entries.reshape(-1) for g in items]
+    if c.backend != RATIONAL:
+        a = np.array(rows, dtype=complex)
+        return (a @ a.T).tolist()
+    flat = [x for row in rows for x in row]
+    den = math.lcm(*(x.denominator for x in flat))
+    a = np.array([x.numerator * (den // x.denominator) for x in flat],
+                 dtype=object).reshape(len(rows), -1)
+    return [[Fraction(v, den * den) for v in row] for row in a.dot(a.T).tolist()]
 
 
 def _rank_fraction_free(rows):

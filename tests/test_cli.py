@@ -123,6 +123,19 @@ class TestRank:
         out = capsys.readouterr()
         assert not out.out and "--max-corpus" in out.err
 
+    @pytest.mark.parametrize("command", ["rank", "enum"])
+    @pytest.mark.parametrize("flag,other", [("--legs", "--max-vertices"),
+                                            ("--max-vertices", "--legs")])
+    def test_negative_counts_are_usage_errors(self, capsys, tmp_path, command, flag, other):
+        extra = (["--weights", "so3", "--json"] if command == "rank"
+                 else ["--out", str(tmp_path / "corpus")])
+        with pytest.raises(SystemExit) as info:
+            main([command, flag, "-1", other, "2", *extra])
+        assert info.value.code == 2
+        out = capsys.readouterr()
+        assert not out.out and flag in out.err and "Traceback" not in out.err
+        assert not (tmp_path / "corpus").exists()
+
     def test_max_corpus_caps(self, capsys):
         code, out, _ = run(capsys, "rank", "--weights", "so3", "--legs", "2",
                            "--max-vertices", "2", "--max-corpus", "4", "--json")

@@ -37,6 +37,7 @@ from trivalent import (
     tripod,
     vertexless_loop,
 )
+from trivalent import evaluation
 from trivalent.errors import DanglingAxes, HasLegs, LegCountMismatch, TableMiss, TooLarge
 from trivalent.evaluation import MAX_ENTRIES, _plan_for, plan
 
@@ -106,6 +107,13 @@ class TestOpenPartitionFunction:
         t = open_partition_function(so3_eps(), theta())
         assert t.rank == 0 and t.item() == -6
 
+    def test_closed_with_loops_stays_an_array(self):
+        g = disjoint_union(theta(), vertexless_loop())
+        for c, want in ((so3_eps(), -18), (so3_eps().to_complex(), -18)):
+            for t in (open_partition_function(c, g), open_brute_force(c, g)):
+                assert isinstance(t.entries, np.ndarray) and t.entries.shape == ()
+                assert t.item() == want and t.entries.reshape(-1)[0] == want
+
     def test_matches_oracle_on_random_legged(self):
         c = random_structure_tensor(2, seed=9)
         corpus = random_diagram_corpus(3, 8, 3, seed=21)
@@ -119,6 +127,24 @@ class TestOracle:
     def test_guard(self):
         with pytest.raises(TooLarge):
             brute_force_oracle(abelian(10), _ten_edges())
+
+    def test_oracle_never_plans(self, monkeypatch):
+        c = random_structure_tensor(2, seed=3)
+        closed = list(enumerate_fixed_diagrams(0, 4))
+        want = [partition_function(c, g) for g in closed]
+        legged = list(random_diagram_corpus(3, 6, 3, seed=4))
+        want_open = [open_partition_function(c, g).entries for g in legged]
+
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("the oracle reached the planner")
+
+        for name in ("plan", "_plan_for", "execute"):
+            monkeypatch.setattr(evaluation, name, forbidden)
+        assert [brute_force_oracle(c, g) for g in closed] == want
+        for g, w in zip(legged, want_open):
+            assert (open_brute_force(c, g).entries == w).all()
+        with pytest.raises(HasLegs):
+            brute_force_oracle(c, legged[0])
 
     def test_plan_independence(self):
         c = so3_eps()

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from trivalent import (
     abelian,
     as_residual,
     canonical_form,
+    components,
     connected_sum_multiplicativity_check,
     connection_matrix,
     delta_check,
@@ -29,12 +31,15 @@ from trivalent import (
     random_structure_tensor,
     rank,
     sl2_killing,
+    sl_n_trace,
     so3_eps,
+    so_n_rational,
     theta,
     tri_star,
     vertexless_loop,
 )
-from trivalent.algebras import StructureTensor, zeros_array
+from trivalent import evaluation, relations
+from trivalent.algebras import TOL, StructureTensor, zeros_array
 from trivalent.errors import LegCountMismatch, TooLarge, ZeroDimension
 from trivalent.relations import _rank_fraction_free, _rank_svd
 
@@ -82,7 +87,6 @@ class TestPermutationSign:
         assert permutation_sign((2, 3, 1)) == 1
 
     def test_matches_inversions(self):
-        import itertools
         for pi in itertools.permutations(range(1, 5)):
             inv = sum(1 for i in range(4) for j in range(i + 1, 4) if pi[i] > pi[j])
             assert permutation_sign(pi) == (-1) ** inv
@@ -178,6 +182,108 @@ class TestConnectionMatrix:
         for i in range(len(corpus)):
             for j in range(len(corpus)):
                 assert cm.entries[i][j] == cm.entries[j][i]
+
+
+def _glued_matrix(f, corpus):
+    """The m^2 gluing matrix, every ordered pair glued and evaluated."""
+    return [[f.evaluate(glue(g, h)) for h in corpus] for g in corpus]
+
+
+def _cyclic_with_denominators(n, seed):
+    """Seeded cyclic-invariant, not antisymmetric tensor with mixed denominators."""
+    rng = random.Random(seed)
+    raw = zeros_array((n, n, n), "rational")
+    for idx in itertools.product(range(n), repeat=3):
+        raw[idx] = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+    return StructureTensor(n, raw + raw.transpose(1, 2, 0) + raw.transpose(2, 0, 1),
+                           "rational", check=False)
+
+
+#: (legs, max vertices, corpus cap) for the factored-against-glued comparisons
+CORPORA = ((0, 4, None), (1, 3, None), (2, 3, None), (3, 3, 24))
+
+
+def _corpus(legs, max_vertices, cap):
+    corpus = enumerate_fixed_diagrams(legs, max_vertices)
+    return corpus.head(cap) if cap else corpus
+
+
+class TestFactoredConnectionMatrix:
+    """The Gram-matrix path against the gluing path it replaced."""
+
+    @pytest.mark.parametrize("make", [so3_eps, lambda: so_n_rational(4),
+                                      lambda: _cyclic_with_denominators(3, 7)],
+                             ids=["so3_eps", "so_4", "cyclic_denominators"])
+    @pytest.mark.parametrize("legs,max_vertices,cap", CORPORA)
+    def test_rational_exact(self, make, legs, max_vertices, cap):
+        c = make()
+        corpus = _corpus(legs, max_vertices, cap)
+        cm = connection_matrix(TensorBacked(c), corpus)
+        assert all(type(x) is Fraction for row in cm.entries for x in row)
+        assert cm.entries == _glued_matrix(TensorBacked(c), corpus)
+
+    def test_denominators_reach_the_matrix(self):
+        c = _cyclic_with_denominators(3, 7)
+        cm = connection_matrix(TensorBacked(c), _corpus(2, 3, None))
+        assert any(x.denominator > 1 for row in cm.entries for x in row)
+
+    @pytest.mark.parametrize("make", [sl2_killing, lambda: sl_n_trace(3)],
+                             ids=["sl2_killing", "sl_3_trace"])
+    @pytest.mark.parametrize("legs,max_vertices,cap", CORPORA)
+    def test_complex_within_tol(self, make, legs, max_vertices, cap):
+        c = make()
+        corpus = _corpus(legs, max_vertices, cap)
+        cm = connection_matrix(TensorBacked(c), corpus)
+        ref = _glued_matrix(TensorBacked(c), corpus)
+        for row, ref_row in zip(cm.entries, ref):
+            for x, y in zip(row, ref_row):
+                assert abs(x - y) <= TOL * max(1.0, abs(y))
+
+    def test_table_backed_one_triangle(self, monkeypatch):
+        corpus = _corpus(2, 3, None)
+        rng = random.Random(11)
+        table = {}
+        for g in corpus:
+            for h in corpus:
+                for comp in components(glue(g, h)):
+                    if comp.num_vertices:
+                        table.setdefault(canonical_form(comp),
+                                         Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        f = TableBacked(Fraction(3), table)
+        ref = _glued_matrix(f, corpus)
+        calls = []
+        real = TableBacked.evaluate
+        monkeypatch.setattr(TableBacked, "evaluate",
+                            lambda self, d: calls.append(d) or real(self, d))
+        cm = connection_matrix(f, corpus)
+        assert cm.entries == ref
+        m = len(corpus)
+        assert len(calls) == m * (m + 1) // 2
+
+    @pytest.mark.parametrize("make", [so3_eps, sl2_killing])
+    def test_over_entry_limit_glues(self, monkeypatch, make):
+        c = make()
+        corpus = _corpus(3, 3, 24)
+        factored = connection_matrix(TensorBacked(c), corpus).entries
+        monkeypatch.setattr(evaluation, "MAX_ENTRIES", len(corpus) * c.dim ** 3 - 1)
+        monkeypatch.setattr(relations, "open_partition_function", None)  # must not be used
+        assert connection_matrix(TensorBacked(c), corpus).entries == \
+            _glued_matrix(TensorBacked(c), corpus)
+        if c.backend == "rational":
+            assert connection_matrix(TensorBacked(c), corpus).entries == factored
+
+    def test_row_over_entry_limit_glues(self, monkeypatch):
+        def too_large(c, g):
+            raise TooLarge("row contraction over the limit")
+
+        f = TensorBacked(so3_eps())
+        corpus = _corpus(2, 3, None)
+        monkeypatch.setattr(relations, "open_partition_function", too_large)
+        assert connection_matrix(f, corpus).entries == _glued_matrix(f, corpus)
+
+    def test_empty_corpus(self):
+        cm = connection_matrix(TensorBacked(so3_eps()), DiagramCorpus.from_diagrams(1, []))
+        assert cm.entries == [] and rank(cm) == 0
 
 
 class TestRankKernels:
