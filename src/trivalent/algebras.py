@@ -1,10 +1,14 @@
 """Scalar backends, structure tensors, and metric Lie algebra generators.
 
-Two backends: exact rationals (`fractions.Fraction` in object arrays) and
-double-precision complex.  The rational backend exists because the so(n)
-family has integer structure constants in a suitable basis, which makes
-rank and relation tests exact; Killing-normalized algebras force complex
-floats through the square roots in orthonormalization.
+Two backends: exact rationals and double-precision complex.  A rational
+array is an object array whose entries are Python `int`s where the value
+is integral and `fractions.Fraction`s otherwise (`_array` is the one place
+that form is chosen), so the integer generators contract in Python-int
+arithmetic, which cannot overflow.  Every exact scalar handed to a caller
+is a `Fraction` (`as_scalar`).  The rational backend exists because the
+so(n) family has integer structure constants in a suitable basis, which
+makes rank and relation tests exact; Killing-normalized algebras force
+complex floats through the square roots in orthonormalization.
 """
 
 from __future__ import annotations
@@ -45,38 +49,38 @@ def as_scalar(x, backend):
     raise BackendMismatch(f"{x!r} is not a complex scalar")
 
 
+def _exact(x):
+    """x as a Python int if integral, else as a Fraction; never a numpy scalar."""
+    q = Fraction(x)
+    num, den = int(q.numerator), int(q.denominator)
+    return num if den == 1 else Fraction(num, den)
+
+
+def _dtype(backend):
+    return object if backend == RATIONAL else complex
+
+
 def _array(entries, backend):
     if backend == RATIONAL:
-        a = np.empty(np.shape(entries), dtype=object)
-        a[...] = np.asarray(entries, dtype=object)
-        for idx in np.ndindex(a.shape):
-            a[idx] = Fraction(a[idx])
+        a = np.array(entries, dtype=object)
+        a.flat = [_exact(x) for x in a.flat]
         return a
     return np.asarray(entries, dtype=complex)
 
 
 def zeros_array(shape, backend):
-    if backend == RATIONAL:
-        a = np.empty(shape, dtype=object)
-        a.fill(Fraction(0))
-        return a
-    return np.zeros(shape, dtype=complex)
+    return np.zeros(shape, dtype=_dtype(backend))
 
 
 def eye_array(n, backend):
-    a = zeros_array((n, n), backend)
-    for i in range(n):
-        a[i, i] = one(backend)
-    return a
+    return np.eye(n, dtype=_dtype(backend))
 
 
 def max_abs(arr):
-    """Largest absolute value in an array; Fraction for object arrays."""
-    if arr.size == 0:
-        return Fraction(0) if arr.dtype == object else 0.0
+    """Largest absolute value in an array: a Fraction for exact arrays, else a float."""
     if arr.dtype == object:
-        return max(abs(x) for x in arr.flat)
-    return float(np.max(np.abs(arr)))
+        return as_scalar(max((abs(x) for x in arr.flat), default=0), RATIONAL)
+    return float(np.max(np.abs(arr), initial=0.0))
 
 
 class StructureTensor:
@@ -110,9 +114,7 @@ class StructureTensor:
     def to_complex(self):
         if self.backend == COMPLEX:
             return self
-        ent = np.array([[[complex(x) for x in row] for row in plane]
-                        for plane in self.entries], dtype=complex)
-        return StructureTensor(self.dim, ent, COMPLEX, lie=self.lie, check=False)
+        return StructureTensor(self.dim, self.entries, COMPLEX, lie=self.lie, check=False)
 
     def __repr__(self):
         return f"StructureTensor(dim={self.dim}, backend={self.backend!r}, lie={self.lie})"
@@ -121,8 +123,6 @@ class StructureTensor:
 def cyclic_check(c: StructureTensor):
     """Max |c_ijk - c_jki| over the two nontrivial rotations."""
     t = c.entries
-    if c.dim == 0:
-        return Fraction(0) if c.backend == RATIONAL else 0.0
     r1 = max_abs(t - t.transpose(1, 2, 0))
     r2 = max_abs(t - t.transpose(2, 0, 1))
     return max(r1, r2)
@@ -131,8 +131,6 @@ def cyclic_check(c: StructureTensor):
 def antisymmetry_check(c: StructureTensor):
     """Max residual of full antisymmetry over all index permutations."""
     t = c.entries
-    if c.dim == 0:
-        return Fraction(0) if c.backend == RATIONAL else 0.0
     worst = max_abs(t + t.transpose(1, 0, 2))
     worst = max(worst, max_abs(t + t.transpose(0, 2, 1)))
     worst = max(worst, max_abs(t + t.transpose(2, 1, 0)))
@@ -145,8 +143,6 @@ def jacobi_check(c: StructureTensor):
     """Max residual of the quadratic relations
     sum_a (c_ija c_akl + c_kia c_ajl + c_jka c_ail) = 0."""
     t = c.entries
-    if c.dim == 0:
-        return Fraction(0) if c.backend == RATIONAL else 0.0
     q = np.tensordot(t, t, axes=([2], [0]))
     r = q + q.transpose(1, 2, 0, 3) + q.transpose(2, 0, 1, 3)
     return max_abs(r)
@@ -261,8 +257,8 @@ def orthonormalize(g: MetricLieAlgebra, retries: int = 8) -> StructureTensor:
             basis.append(r / cmath.sqrt(nrm2))
         if failed:
             continue
-        s = np.array(basis)
-        ent = np.einsum("ai,bj,ijm,ml,cl->abc", s, s, bracket, gram, s)
+        s = np.array(basis).reshape(n, n)  # (0, 0), not (0,), for the zero algebra
+        ent = np.einsum("ai,bj,ijm,ml,cl->abc", s, s, bracket, gram, s, optimize=True)
         c = StructureTensor(n, ent, COMPLEX, lie=True, check=False)
         bound = TOL * max(1.0, float(max_abs(c.entries)))
         if cyclic_check(c) > bound or antisymmetry_check(c) > bound or \
@@ -285,7 +281,7 @@ def so3_eps() -> StructureTensor:
     ent = zeros_array((3, 3, 3), RATIONAL)
     for (i, j, k), s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                          ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)):
-        ent[i, j, k] = Fraction(s)
+        ent[i, j, k] = s
     return StructureTensor(3, ent, RATIONAL, lie=True, check=False)
 
 
@@ -337,19 +333,19 @@ def sl_algebra(n: int) -> MetricLieAlgebra:
     def diag_coeffs(diag):
         # expand a traceless diagonal in H_l = e_l - e_(l+1): mu_l = d_0+...+d_l
         out = []
-        s = Fraction(0)
+        s = 0
         for l in range(nh):
             s += diag[l]
             out.append(s)
         return out
 
     def expand(mat):
-        # mat: dict (i,j) -> Fraction, traceless
-        vec = [Fraction(0)] * d
+        # mat: dict (i,j) -> int, traceless
+        vec = [0] * d
         for (i, j), v in mat.items():
             if i != j:
                 vec[basis.index((i, j))] += v
-        diag = [mat.get((l, l), Fraction(0)) for l in range(n)]
+        diag = [mat.get((l, l), 0) for l in range(n)]
         for l, mu in enumerate(diag_coeffs(diag)):
             vec[len(basis) + l] += mu
         return vec
@@ -357,16 +353,16 @@ def sl_algebra(n: int) -> MetricLieAlgebra:
     def elem(idx):
         if idx < len(basis):
             i, j = basis[idx]
-            return {(i, j): Fraction(1)}
+            return {(i, j): 1}
         l = idx - len(basis)
-        return {(l, l): Fraction(1), (l + 1, l + 1): Fraction(-1)}
+        return {(l, l): 1, (l + 1, l + 1): -1}
 
     def matmul(x, y):
         out = {}
         for (i, j), v in x.items():
             for (jj, k), w in y.items():
                 if j == jj:
-                    out[(i, k)] = out.get((i, k), Fraction(0)) + v * w
+                    out[(i, k)] = out.get((i, k), 0) + v * w
         return out
 
     bracket = zeros_array((d, d, d), RATIONAL)
@@ -376,11 +372,10 @@ def sl_algebra(n: int) -> MetricLieAlgebra:
         for q in range(d):
             xy = matmul(mats[p], mats[q])
             yx = matmul(mats[q], mats[p])
-            comm = {k: xy.get(k, Fraction(0)) - yx.get(k, Fraction(0))
-                    for k in set(xy) | set(yx)}
+            comm = {k: xy.get(k, 0) - yx.get(k, 0) for k in set(xy) | set(yx)}
             for r, v in enumerate(expand(comm)):
                 bracket[p, q, r] = v
-            gram[p, q] = sum((v for (i, j), v in xy.items() if i == j), Fraction(0))
+            gram[p, q] = sum(v for (i, j), v in xy.items() if i == j)
     return MetricLieAlgebra(d, bracket, gram, backend=RATIONAL)
 
 
@@ -401,7 +396,7 @@ def gl_algebra(n: int) -> MetricLieAlgebra:
                 bracket[p, q, idx[(a, e)]] += 1
             if e == a:
                 bracket[p, q, idx[(c, b)]] -= 1
-            gram[p, q] = Fraction(1) if (b == c and a == e) else Fraction(0)
+            gram[p, q] = int(b == c and a == e)
     return MetricLieAlgebra(d, bracket, gram, backend=RATIONAL)
 
 
@@ -419,12 +414,9 @@ def sl2_algebra_killing() -> MetricLieAlgebra:
     """sl(2) in the basis {H, E, F} with the Killing form as gram."""
     br = zeros_array((3, 3, 3), RATIONAL)
     # [H,E]=2E, [H,F]=-2F, [E,F]=H   (H=0, E=1, F=2)
-    br[0, 1, 1] = Fraction(2)
-    br[1, 0, 1] = Fraction(-2)
-    br[0, 2, 2] = Fraction(-2)
-    br[2, 0, 2] = Fraction(2)
-    br[1, 2, 0] = Fraction(1)
-    br[2, 1, 0] = Fraction(-1)
+    br[0, 1, 1], br[1, 0, 1] = 2, -2
+    br[0, 2, 2], br[2, 0, 2] = -2, 2
+    br[1, 2, 0], br[2, 1, 0] = 1, -1
     alg = MetricLieAlgebra(3, br, eye_array(3, RATIONAL), backend=RATIONAL, check=False)
     return MetricLieAlgebra(3, br, alg.killing_gram(), backend=RATIONAL)
 
@@ -443,8 +435,7 @@ def random_structure_tensor(n, seed, backend=RATIONAL, antisymmetric=False):
     rng = _random.Random(seed)
     raw = zeros_array((n, n, n), backend)
     for idx in np.ndindex(raw.shape):
-        v = rng.randint(-3, 3)
-        raw[idx] = Fraction(v) if backend == RATIONAL else complex(v)
+        raw[idx] = rng.randint(-3, 3)
     if antisymmetric:
         ent = (raw - raw.transpose(1, 0, 2) + raw.transpose(1, 2, 0)
                - raw.transpose(2, 1, 0) + raw.transpose(2, 0, 1)

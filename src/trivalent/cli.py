@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 usage or IO
-error (negative counts such as `--legs -1` included).  Human-readable
+error (negative counts such as `--legs -1` or `--corpus random:-3`, and
+algebra specs such as `so:-2`, included).  Human-readable
 messages go to stderr; with --json the machine report goes to stdout.
 Every command that uses randomness requires an explicit --seed.
 """
@@ -35,6 +36,9 @@ def load_algebra(spec: str) -> StructureTensor:
         name, _, arg = spec.partition(":")
         if name in ("abelian", "so", "sl", "gl"):
             n = int(arg)
+            low = 1 if name == "sl" else 0  # sl(N) has dimension N^2 - 1
+            if n < low:
+                raise TrivalentError(f"algebra {spec!r}: N must be at least {low}")
             return {"abelian": algebras.abelian,
                     "so": algebras.so_n_rational,
                     "sl": algebras.sl_n_trace,
@@ -154,10 +158,7 @@ def cmd_delta(args):
         raise TrivalentError("need either --h builtin:pid or --corpus random:<count>")
     if args.seed is None:
         raise TrivalentError("--seed is required with --corpus")
-    kind, _, count = args.corpus.partition(":")
-    if kind != "random":
-        raise TrivalentError(f"unknown corpus spec {args.corpus!r}")
-    corpus = enumeration.random_diagram_corpus(2 * k, int(count), args.max_vertices,
+    corpus = enumeration.random_diagram_corpus(2 * k, args.corpus, args.max_vertices,
                                                args.seed)
     hs = list(corpus) + [diagrams.identity_pairing(k)]
     report = relations.delta_check(f, k, hs, tol=tol, seed=args.seed)
@@ -233,6 +234,14 @@ def _at_least(low):
     return count
 
 
+def _random_corpus(text):
+    """argparse type: `random:<count>`, the count at least 0."""
+    kind, _, count = text.partition(":")
+    if kind != "random":
+        raise argparse.ArgumentTypeError(f"unknown corpus spec {text!r}")
+    return _at_least(0)(count)
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="trivalent",
                                 description="Weight systems on trivalent diagrams")
@@ -256,11 +265,11 @@ def build_parser():
 
     q = sub.add_parser("delta", help="signed permutation-sum check")
     q.add_argument("--algebra", required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_at_least(0), required=True)
     q.add_argument("--h", default=None, help="builtin:pid")
-    q.add_argument("--corpus", default=None, help="random:<count>")
+    q.add_argument("--corpus", type=_random_corpus, default=None, help="random:<count>")
     q.add_argument("--seed", type=int, default=None)
-    q.add_argument("--max-vertices", type=int, default=4)
+    q.add_argument("--max-vertices", type=_at_least(0), default=4)
     q.add_argument("--tol", type=float, default=None)
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_delta)

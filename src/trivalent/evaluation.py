@@ -21,7 +21,6 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -58,16 +57,14 @@ class DenseTensor:
         self.entries = np.asarray(self.entries)  # a 0-d product may be a bare scalar
 
     def item(self):
-        v = self.entries[()] if self.rank == 0 else self.entries.item()
-        return v if self.backend == RATIONAL else complex(v)
+        return algebras.as_scalar(self.entries.item(), self.backend)
 
     def bilinear_dot(self, other: "DenseTensor"):
         """Non-conjugated entrywise dot (the pairing both sides of the
         gluing identity use)."""
         if self.rank != other.rank:
             raise LegCountMismatch(f"rank {self.rank} vs {other.rank}")
-        s = (self.entries * other.entries).sum()
-        return s if self.backend == RATIONAL else complex(s)
+        return algebras.as_scalar((self.entries * other.entries).sum(), self.backend)
 
 
 def _edge_ids(g: FixedDiagram):
@@ -185,10 +182,7 @@ def execute(c: StructureTensor, p: Plan):
     for i, j, pos_i, pos_j in p.steps:
         vals.append(np.tensordot(vals[i], vals[j], axes=(pos_i, pos_j)))
         vals[i] = vals[j] = None
-    if not vals:
-        return np.array(algebras.one(c.backend),
-                        dtype=object if c.backend == RATIONAL else complex)
-    return vals[-1]
+    return vals[-1] if vals else algebras._array(1, c.backend)
 
 
 def partition_function(c: StructureTensor, g: FixedDiagram, plan=None):
@@ -197,7 +191,7 @@ def partition_function(c: StructureTensor, g: FixedDiagram, plan=None):
     val = execute(c, _plan_for(g, c.dim) if plan is None else plan)[()]
     if g.loop_count:
         val = val * c.dim ** g.loop_count
-    return val if c.backend == RATIONAL else complex(val)
+    return algebras.as_scalar(val, c.backend)
 
 
 def open_partition_function(c: StructureTensor, g: FixedDiagram,
@@ -226,7 +220,7 @@ def open_brute_force(c: StructureTensor, g: FixedDiagram, guard=10 ** 7) -> Dens
     leg_edges = [eid[dart] for dart in g.legs]
     out = algebras.zeros_array((n,) * g.num_legs, c.backend)
     for psi in itertools.product(range(n), repeat=num_edges):
-        term = algebras.one(c.backend)
+        term = 1
         for a, b, d in g.vertices:
             term = term * ent[psi[eid[a]], psi[eid[b]], psi[eid[d]]]
         out[tuple(psi[e] for e in leg_edges)] += term
@@ -257,8 +251,7 @@ class TensorBacked:
     def __init__(self, tensor: StructureTensor):
         self.tensor = tensor
         self.backend = tensor.backend
-        self.loop_value = (Fraction(tensor.dim) if tensor.backend == RATIONAL
-                           else complex(tensor.dim))
+        self.loop_value = algebras.as_scalar(tensor.dim, tensor.backend)
         self._memo = {}
 
     def evaluate(self, g: FixedDiagram):

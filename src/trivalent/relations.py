@@ -48,8 +48,6 @@ def _formal_open(c: StructureTensor, element):
 
 def as_residual(c: StructureTensor):
     """Max-norm of the open evaluation of the two-term antisymmetry sum."""
-    if c.dim == 0:
-        return Fraction(0) if c.backend == RATIONAL else 0.0
     return max_abs(_formal_open(c, as_element()))
 
 
@@ -59,8 +57,6 @@ def ihx_residual(c: StructureTensor):
     This is the same number as `algebras.jacobi_check`: both run the same
     contractions in the same order, only packaged through diagrams here.
     """
-    if c.dim == 0:
-        return Fraction(0) if c.backend == RATIONAL else 0.0
     return max_abs(_formal_open(c, ihx_element()))
 
 

@@ -64,6 +64,11 @@ class TestCheck:
         for rep in reports:
             jsonschema.validate(rep, rep_schema)
 
+    def test_exact_residuals_print_as_zero(self, capsys):
+        code, out, _ = run(capsys, "check", "--algebra", "so:4", "--all", "--json")
+        assert code == 0
+        assert [rep["residual"] for rep in json.loads(out)] == ["0", "0", "0"]
+
     def test_failing_check_exits_one(self, capsys, tmp_path):
         # cyclic-invariant but not antisymmetric tensor
         obj = {"dim": 2, "backend": "rational",
@@ -97,6 +102,31 @@ class TestDelta:
         rep = json.loads(out)
         jsonschema.validate(rep, schema("report.schema.json"))
         assert rep["pass"] and rep["seed"] == 11
+
+    @pytest.mark.parametrize("bad", [["--max-vertices", "-2"], ["--corpus", "random:-3"],
+                                     ["--k", "-1"], ["--corpus", "walk:3"]])
+    def test_bad_counts_are_usage_errors(self, capsys, bad):
+        # the later of two occurrences of an option wins
+        with pytest.raises(SystemExit) as info:
+            main(["delta", "--algebra", "so3", "--k", "2", "--corpus", "random:3",
+                  "--seed", "1", "--json", *bad])
+        assert info.value.code == 2
+        out = capsys.readouterr()
+        assert not out.out and bad[0] in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("spec, low", [("so:-2", 0), ("abelian:-1", 0), ("gl:-1", 0),
+                                       ("sl:0", 1)])
+def test_algebra_below_its_range_is_a_usage_error(capsys, spec, low):
+    code, out, err = run(capsys, "eval", "--algebra", spec, "--graph", "builtin:theta")
+    assert code == 2 and not out
+    assert err == f"error: algebra {spec!r}: N must be at least {low}"
+
+
+@pytest.mark.parametrize("spec", ["so:0", "abelian:0", "sl:1", "gl:0"])
+def test_zero_dimensional_algebras_evaluate(capsys, spec):
+    code, out, _ = run(capsys, "eval", "--algebra", spec, "--graph", "builtin:theta")
+    assert code == 0 and out in ("0", "0 0")
 
 
 class TestRank:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -12,6 +13,7 @@ from trivalent import (
     disjoint_union,
     edge_connected_sum,
     empty_diagram,
+    enumerate_fixed_diagrams,
     flip_vertex,
     from_json_dict,
     glue,
@@ -274,6 +276,51 @@ class TestCanonicalForm:
             shuffled = FixedDiagram(vertices=verts, legs=legs, edges=edges,
                                     loop_count=d.loop_count)
             assert canonical_form(shuffled) == canonical_form(d)
+
+
+class TestPinnedCodes:
+    """`table.json` files store canonical codes, so any change to the code
+    format shows here first."""
+
+    GOLDEN = {
+        "theta": (theta, ()),
+        "k4": (k4, ()),
+        "tripod(1, 2, 3)": (tripod, (1, 2, 3)),
+        "tripod(1, 3, 2)": (tripod, (1, 3, 2)),
+        "vertexless_loop": (vertexless_loop, ()),
+        "identity_pairing(2)": (identity_pairing, (2,)),
+    }
+    HEX = {
+        "theta": "282828276d6170272c20312c20322c20332c20342c20352c20302c20302c20352c20322c"
+                 "20312c20342c2033292c292c203029",
+        "k4": "282828276d6170272c20312c20322c20332c20342c20352c20302c20302c20362c20372c20"
+              "312c20382c20392c2031302c20332c2031312c20382c20322c20372c20362c20352c20392c"
+              "2031312c20342c203130292c292c203029",
+        "tripod(1, 2, 3)": "282828276d6170272c20312c202d312c20322c202d322c20302c202d33292c"
+                           "292c203029",
+        "tripod(1, 3, 2)": "282828276d6170272c20312c202d312c20322c202d332c20302c202d32292c"
+                           "292c203029",
+        "vertexless_loop": "2828292c203129",
+        "identity_pairing(2)": "2828282765646765272c20312c2033292c20282765646765272c20322c"
+                               "203429292c203029",
+    }
+    #: (legs, max vertices): class count and sha256 of the sorted hex codes, one a line
+    CORPORA = {
+        (0, 4): (20, "346698d1956250bc0fa21cb96a4dc9b6eaa8fb2e33aa4f0c54021619f39fc30c"),
+        (1, 3): (9, "bdd91345677666a403e393048de2df67dd903dfbcd6eca636260c7f025d6e0e1"),
+        (2, 4): (101, "cca4eb7c4750171b039eb30cc89393231c078357e94df3bdb3f20f43ade6e07d"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_builtin_codes(self, name):
+        make, args = self.GOLDEN[name]
+        assert canonical_form(make(*args)).hex() == self.HEX[name]
+
+    @pytest.mark.parametrize("legs, max_vertices", sorted(CORPORA))
+    def test_corpus_digest(self, legs, max_vertices):
+        codes = sorted(enumerate_fixed_diagrams(legs, max_vertices).codes)
+        digest = hashlib.sha256("".join(c.hex() + "\n" for c in codes).encode()).hexdigest()
+        assert (len(codes), digest) == self.CORPORA[(legs, max_vertices)]
 
 
 class TestThreeGraph:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -12,8 +13,14 @@ from trivalent import (
     TableBacked,
     TensorBacked,
     abelian,
+    antisymmetry_check,
+    as_residual,
     brute_force_oracle,
     canonical_form,
+    connection_matrix,
+    cyclic_check,
+    delta_sum,
+    direct_sum_additivity_check,
     disjoint_union,
     edge_connected_sum,
     enumerate_fixed_diagrams,
@@ -21,7 +28,10 @@ from trivalent import (
     flip_vertex,
     glue,
     identity_pairing,
+    ihx_residual,
+    jacobi_check,
     k4,
+    normalized,
     open_brute_force,
     open_partition_function,
     pairing_identity_check,
@@ -38,6 +48,7 @@ from trivalent import (
     vertexless_loop,
 )
 from trivalent import evaluation
+from trivalent.algebras import RATIONAL, StructureTensor, max_abs
 from trivalent.errors import DanglingAxes, HasLegs, LegCountMismatch, TableMiss, TooLarge
 from trivalent.evaluation import MAX_ENTRIES, _plan_for, plan
 
@@ -347,3 +358,80 @@ class TestStructuralLaws:
             ref = partition_function(c, g)
             got = partition_function(ci, g)
             assert abs(got - (1j) ** g.num_vertices * ref) < 1e-9
+
+
+def fraction_coloring_sum(ent, g):
+    """Closed value of `g` on the nested-list tensor `ent`, summed over edge
+    colorings in `Fraction` arithmetic: independent of numpy and the planner."""
+    eid = {}
+    for i, (a, b) in enumerate(g.edges()):
+        eid[a] = eid[b] = i
+    n = len(ent)
+    total = Fraction(0)
+    for psi in itertools.product(range(n), repeat=g.num_darts // 2):
+        term = Fraction(1)
+        for a, b, d in g.vertices:
+            term *= Fraction(ent[psi[eid[a]]][psi[eid[b]]][psi[eid[d]]])
+        total += term
+    return total * n ** g.loop_count
+
+
+class TestExactness:
+    @staticmethod
+    def big_cyclic():
+        """int64 cyclic tensor with entries near 2**40: K4 products reach 2**160."""
+        raw = np.random.default_rng(40).integers(-2 ** 40, 2 ** 40, (3, 3, 3), dtype=np.int64)
+        return raw + raw.transpose(1, 2, 0) + raw.transpose(2, 0, 1)
+
+    @pytest.mark.parametrize("form", ["array", "list of numpy scalars"])
+    def test_int64_input_stays_exact(self, form):
+        ent = self.big_cyclic()
+        if form != "array":
+            ent = np.array(list(ent.flat), dtype=object).reshape(ent.shape)
+        c = StructureTensor(3, ent, RATIONAL)
+        assert all(type(x) is int for x in c.entries.flat)
+        python_ints = [[[int(x) for x in row] for row in plane] for plane in ent]
+        for g in (theta(), k4()):
+            got = partition_function(c, g)
+            assert type(got) is Fraction and got == fraction_coloring_sum(python_ints, g)
+        assert abs(partition_function(c, k4())) > 2 ** 150
+
+    def test_half_integral_keeps_fractions(self):
+        half = [[[Fraction(int(x), 2) for x in row] for row in plane]
+                for plane in self.big_cyclic()]
+        c = StructureTensor(3, half, RATIONAL)
+        kinds = {type(x) for x in c.entries.flat}
+        assert kinds == {int, Fraction}
+        assert all(x.denominator == 2 for x in c.entries.flat if type(x) is Fraction)
+        for g in (theta(), k4(), disjoint_union(theta(), vertexless_loop())):
+            want = fraction_coloring_sum(half, g)
+            assert partition_function(c, g) == brute_force_oracle(c, g) == want
+
+    @pytest.mark.parametrize("c", [so3_eps(), so_n_rational(4), abelian(0),
+                                   random_structure_tensor(3, seed=5)],
+                             ids=["so3", "so4", "abelian0", "random3"])
+    def test_public_exact_results_are_fractions(self, c):
+        f = TensorBacked(c)
+        a = open_partition_function(c, tripod(1, 2, 3))
+        b = open_partition_function(c, tripod(1, 3, 2))
+        values = [
+            partition_function(c, theta()), brute_force_oracle(c, k4()),
+            open_partition_function(c, theta()).item(), a.bilinear_dot(b),
+            max_abs(c.entries), cyclic_check(c), antisymmetry_check(c), jacobi_check(c),
+            as_residual(c), ihx_residual(c), f.loop_value, f.evaluate(k4()),
+            evaluate(f, [(2, theta())]), delta_sum(f, 2, identity_pairing(2)),
+            pairing_identity_check(c, tripod(1, 2, 3), tripod(1, 3, 2)),
+            direct_sum_additivity_check(c, c, theta()),
+        ]
+        if c.dim:
+            values.append(normalized(f).value(theta()))
+        values += [x for row in connection_matrix(f, enumerate_fixed_diagrams(1, 3)).entries
+                   for x in row]
+        assert [type(v) for v in values] == [Fraction] * len(values)
+
+    def test_dim_zero_residuals(self):
+        for c, zero in ((abelian(0), Fraction(0)), (abelian(0).to_complex(), 0.0)):
+            for check in (cyclic_check, antisymmetry_check, jacobi_check, as_residual,
+                          ihx_residual):
+                r = check(c)
+                assert r == 0 and type(r) is type(zero)
