@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 usage or IO
 error (negative counts such as `--legs -1` or `--corpus random:-3`, and
-algebra specs such as `so:-2`, included).  Human-readable
+algebra specs such as `so:-2` or `so:x`, included).  Human-readable
 messages go to stderr; with --json the machine report goes to stdout.
 Every command that uses randomness requires an explicit --seed.
 """
@@ -35,6 +35,8 @@ def load_algebra(spec: str) -> StructureTensor:
     if ":" in spec:
         name, _, arg = spec.partition(":")
         if name in ("abelian", "so", "sl", "gl"):
+            if not arg.removeprefix("-").isdecimal():
+                raise TrivalentError(f"algebra {spec!r}: N must be an integer")
             n = int(arg)
             low = 1 if name == "sl" else 0  # sl(N) has dimension N^2 - 1
             if n < low:

@@ -244,8 +244,8 @@ class TensorBacked:
     """Weight system f = partition function of a fixed structure tensor.
 
     Values are multiplicative over components; component values are
-    memoized by canonical code, which matters a lot in the permutation
-    sums where the same small graphs recur thousands of times.
+    memoized by canonical code, so a component met again is not
+    contracted again.
     """
 
     def __init__(self, tensor: StructureTensor):

@@ -28,6 +28,7 @@ from .diagrams import (
     glue,
     ihx_element,
     permutation_diagram,
+    _leg_label_map,
     _vertex_of,
 )
 from .errors import LegCountMismatch, TooLarge, ZeroDimension
@@ -65,34 +66,55 @@ def ihx_residual(c: StructureTensor):
 # ---------------------------------------------------------------------------
 
 def permutation_sign(pi):
-    """Sign from the cycle decomposition of a 1-based permutation tuple."""
-    k = len(pi)
-    seen = [False] * k
-    cycles = 0
-    for i in range(k):
-        if seen[i]:
-            continue
-        cycles += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = pi[j] - 1
-    return 1 if (k - cycles) % 2 == 0 else -1
+    """(-1) to the number of inversions of a permutation tuple."""
+    return -1 if sum(a > b for a, b in itertools.combinations(pi, 2)) % 2 else 1
+
+
+def _lexicographic_signs(k: int):
+    """Signs of the permutations of 1..k in `itertools.permutations` order:
+    putting the j-th smallest remaining element first adds j inversions."""
+    signs = [1]
+    for n in range(2, k + 1):
+        signs = [-s if j % 2 else s for j in range(n) for s in signs]
+    return signs
 
 
 def delta_sum(f, k: int, h: FixedDiagram):
-    """sum over permutations pi of sgn(pi) * f(P_pi glued with h), h 2k-legged."""
+    """sum over permutations pi of sgn(pi) * f(P_pi glued with h), h 2k-legged.
+
+    Gluing P_pi joins legs i and k+pi(i) of h.  Followed through h's
+    leg-to-leg edges ("chords"), the joins pair up h's legs at vertices and
+    close the rest into vertexless loops: that outcome is the glued diagram
+    itself.  The signs are summed per outcome, and f reads each distinct
+    glued diagram once, zero sums included.
+    """
     if h.num_legs != 2 * k:
         raise LegCountMismatch(f"h has {h.num_legs} legs, expected {2 * k}")
     if math.factorial(k) > DELTA_GUARD:
         raise TooLarge(f"{k}! permutations exceed the guard")
+    lab = _leg_label_map(h)
+    chord = [lab[h.partner[d]] - 1 for d in h.legs]  # leg index, or -1 at a vertex
+    order = sorted(range(2 * k), key=lambda a: chord[a] >= 0)  # legs at vertices first
+    join = [0] * (2 * k)
+    outcomes = {}  # key -> [signed count, one pi that gives it]
+    for pi, sign in zip(itertools.permutations(range(k, 2 * k)), _lexicographic_signs(k)):
+        for i, j in enumerate(pi):
+            join[i], join[j] = j, i
+        seen = bytearray(2 * k)
+        key = bytearray()
+        for a in order:  # walk to the leg at the other end, or around a loop back to a
+            if not seen[a]:
+                b = join[a]
+                while chord[b] >= 0 and chord[b] != a:
+                    seen[b] = seen[chord[b]] = 1
+                    b = join[chord[b]]
+                seen[b] = 1
+                key.append(255 if chord[b] >= 0 else b)
+        outcomes.setdefault(bytes(key), [0, pi])[0] += sign
     total = algebras.zero(f.backend)
-    for pi in itertools.permutations(range(1, k + 1)):
-        val = f.evaluate(glue(permutation_diagram(pi), h))
-        if permutation_sign(pi) > 0:
-            total = total + val
-        else:
-            total = total - val
+    for count, pi in outcomes.values():
+        glued = glue(permutation_diagram([j - k + 1 for j in pi]), h)
+        total = total + count * f.evaluate(glued)
     return total
 
 

@@ -103,6 +103,11 @@ class TestDelta:
         jsonschema.validate(rep, schema("report.schema.json"))
         assert rep["pass"] and rep["seed"] == 11
 
+    def test_too_many_permutations_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "delta", "--algebra", "so3", "--k", "10",
+                             "--h", "builtin:pid")
+        assert code == 2 and not out and err == "error: 10! permutations exceed the guard"
+
     @pytest.mark.parametrize("bad", [["--max-vertices", "-2"], ["--corpus", "random:-3"],
                                      ["--k", "-1"], ["--corpus", "walk:3"]])
     def test_bad_counts_are_usage_errors(self, capsys, bad):
@@ -121,6 +126,13 @@ def test_algebra_below_its_range_is_a_usage_error(capsys, spec, low):
     code, out, err = run(capsys, "eval", "--algebra", spec, "--graph", "builtin:theta")
     assert code == 2 and not out
     assert err == f"error: algebra {spec!r}: N must be at least {low}"
+
+
+@pytest.mark.parametrize("spec", ["so:x", "abelian:1.5"])
+def test_non_integer_algebra_n_is_a_usage_error(capsys, spec):
+    code, out, err = run(capsys, "eval", "--algebra", spec, "--graph", "builtin:theta")
+    assert code == 2 and not out and "Traceback" not in err
+    assert err == f"error: algebra {spec!r}: N must be an integer"
 
 
 @pytest.mark.parametrize("spec", ["so:0", "abelian:0", "sl:1", "gl:0"])

@@ -39,9 +39,9 @@ from trivalent import (
     vertexless_loop,
 )
 from trivalent import evaluation, relations
-from trivalent.algebras import TOL, StructureTensor, zeros_array
-from trivalent.errors import LegCountMismatch, TooLarge, ZeroDimension
-from trivalent.relations import _rank_fraction_free, _rank_svd
+from trivalent.algebras import TOL, StructureTensor, zero, zeros_array
+from trivalent.errors import LegCountMismatch, TableMiss, TooLarge, ZeroDimension
+from trivalent.relations import _lexicographic_signs, _rank_fraction_free, _rank_svd
 
 
 def falling(n, k):
@@ -90,6 +90,11 @@ class TestPermutationSign:
         for pi in itertools.permutations(range(1, 5)):
             inv = sum(1 for i in range(4) for j in range(i + 1, 4) if pi[i] > pi[j])
             assert permutation_sign(pi) == (-1) ** inv
+
+    def test_lexicographic_signs(self):
+        for k in range(8):
+            assert _lexicographic_signs(k) == [
+                permutation_sign(pi) for pi in itertools.permutations(range(1, k + 1))]
 
 
 class TestDeltaSum:
@@ -147,6 +152,111 @@ class TestDeltaSum:
         rep = delta_check(f, 3, [identity_pairing(3)], tol=0, seed=99)
         assert set(rep) == {"check", "params", "seed", "residual", "pass"}
         assert rep["seed"] == 99
+
+
+def _delta_by_gluing(f, k, h):
+    """The signed sum term by term: every P_pi glued to h and evaluated."""
+    total = zero(f.backend)
+    for pi in itertools.permutations(range(1, k + 1)):
+        total = total + permutation_sign(pi) * f.evaluate(glue(permutation_diagram(pi), h))
+    return total
+
+
+def _hs(k, count, seed):
+    return list(random_diagram_corpus(2 * k, count, 4, seed=seed)) + [identity_pairing(k)]
+
+
+class _Counting:
+    """A weight system that records every diagram it is asked to evaluate."""
+
+    def __init__(self, f):
+        self.f, self.backend, self.seen = f, f.backend, []
+
+    def evaluate(self, g):
+        self.seen.append(g)
+        return self.f.evaluate(g)
+
+
+def _literal(g):
+    return g.vertices, g.partner, g.loop_count
+
+
+class TestDeltaByOutcome:
+    """The per-outcome signed sum against the gluing path it replaced."""
+
+    @pytest.mark.parametrize("make,k", [(lambda: so_n_rational(4), 4), (so3_eps, 3),
+                                        (lambda: abelian(3), 3),
+                                        (lambda: random_structure_tensor(3, seed=5), 3)],
+                             ids=["so_4", "so3_eps", "abelian_3", "random_3"])
+    def test_nonzero_sums_exact(self, make, k):
+        f, hs = TensorBacked(make()), _hs(k, 40, 11)
+        sums = [delta_sum(f, k, h) for h in hs]
+        assert sums == [_delta_by_gluing(f, k, h) for h in hs]
+        assert all(type(x) is Fraction for x in sums)
+        assert any(sums)
+
+    @pytest.mark.parametrize("make,k,seed", [(lambda: abelian(2), 3, 30021),
+                                             (so3_eps, 4, 30022)],
+                             ids=["abelian_2", "so3_eps"])
+    def test_acceptance_corpora_exact(self, make, k, seed):
+        f = TensorBacked(make())
+        for h in _hs(k, 50, seed):
+            val = delta_sum(f, k, h)
+            assert type(val) is Fraction and val == _delta_by_gluing(f, k, h)
+
+    def test_so4_k7_exact(self):
+        f = TensorBacked(so_n_rational(4))
+        corpus = random_diagram_corpus(14, 50, 4, seed=30023)
+        hs = [identity_pairing(7)] + [next(h for h in corpus if h.num_vertices == v)
+                                      for v in (2, 4)]
+        for h in hs:
+            val = delta_sum(f, 7, h)
+            assert type(val) is Fraction and val == _delta_by_gluing(f, 7, h)
+
+    def test_complex_within_tol(self):
+        f = TensorBacked(sl2_killing())
+        for h in _hs(3, 40, 11):
+            ref = _delta_by_gluing(f, 3, h)
+            assert abs(delta_sum(f, 3, h) - ref) <= TOL * max(1.0, abs(ref))
+
+    def test_evaluates_each_distinct_glued_diagram_once(self):
+        f = TensorBacked(so3_eps())
+        for h in _hs(4, 40, 11):
+            counting = _Counting(f)
+            delta_sum(counting, 4, h)
+            glued = {_literal(glue(permutation_diagram(pi), h))
+                     for pi in itertools.permutations(range(1, 5))}
+            assert sorted(map(_literal, counting.seen)) == sorted(glued)
+
+    def test_identity_pairing_one_evaluation_per_cycle_count(self):
+        for n, k in itertools.product(range(1, 5), range(1, 7)):
+            counting = _Counting(TensorBacked(abelian(n)))
+            assert delta_sum(counting, k, identity_pairing(k)) == falling(n, k)
+            assert len(counting.seen) == k
+            assert sorted(_literal(g) for g in counting.seen) == [
+                ((), (), loops) for loops in range(1, k + 1)]
+
+    def test_table_backed(self):
+        hs = _hs(3, 40, 11)
+        rng = random.Random(3)
+        table = {}
+        for h in hs:
+            for pi in itertools.permutations(range(1, 4)):
+                for comp in components(glue(permutation_diagram(pi), h)):
+                    if comp.num_vertices:
+                        table.setdefault(canonical_form(comp),
+                                         Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        f = TableBacked(Fraction(3), table)
+        sums = [delta_sum(f, 3, h) for h in hs]
+        assert sums == [_delta_by_gluing(f, 3, h) for h in hs] and any(sums)
+        h = next(h for h in hs if h.num_vertices)
+        comp = next(c for c in components(glue(identity_pairing(3), h)) if c.num_vertices)
+        del table[canonical_form(comp)]
+        f = TableBacked(Fraction(3), table)
+        with pytest.raises(TableMiss):
+            delta_sum(f, 3, h)
+        with pytest.raises(TableMiss):
+            _delta_by_gluing(f, 3, h)
 
 
 class TestConnectionMatrix:
