@@ -14,6 +14,7 @@ complex floats through the square roots in orthonormalization.
 from __future__ import annotations
 
 import cmath
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -131,21 +132,20 @@ def cyclic_check(c: StructureTensor):
 def antisymmetry_check(c: StructureTensor):
     """Max residual of full antisymmetry over all index permutations."""
     t = c.entries
-    worst = max_abs(t + t.transpose(1, 0, 2))
-    worst = max(worst, max_abs(t + t.transpose(0, 2, 1)))
-    worst = max(worst, max_abs(t + t.transpose(2, 1, 0)))
-    worst = max(worst, max_abs(t - t.transpose(1, 2, 0)))
-    worst = max(worst, max_abs(t - t.transpose(2, 0, 1)))
-    return worst
+    odd = [max_abs(t + t.transpose(p)) for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0))]
+    return max(odd + [cyclic_check(c)])
+
+
+def _jacobi_residual(t):
+    """Max |q_ijkl + q_jkil + q_kijl| with q_ijkl = sum_a t_ija t_akl."""
+    q = np.tensordot(t, t, axes=([2], [0]))
+    return max_abs(q + q.transpose(1, 2, 0, 3) + q.transpose(2, 0, 1, 3))
 
 
 def jacobi_check(c: StructureTensor):
     """Max residual of the quadratic relations
     sum_a (c_ija c_akl + c_kia c_ajl + c_jka c_ail) = 0."""
-    t = c.entries
-    q = np.tensordot(t, t, axes=([2], [0]))
-    r = q + q.transpose(1, 2, 0, 3) + q.transpose(2, 0, 1, 3)
-    return max_abs(r)
+    return _jacobi_residual(c.entries)
 
 
 def direct_sum(c1: StructureTensor, c2: StructureTensor) -> StructureTensor:
@@ -166,6 +166,10 @@ def scale_tensor(c: StructureTensor, mu) -> StructureTensor:
 # ---------------------------------------------------------------------------
 # metric Lie algebras on arbitrary bases
 # ---------------------------------------------------------------------------
+
+#: Gram-Schmidt runs: the standard basis, then seeded random basis changes
+RETRIES = 8
+
 
 class MetricLieAlgebra:
     """Bracket constants B[i][j][k] (meaning [u_i,u_j] = sum_k B[i][j][k] u_k)
@@ -194,9 +198,7 @@ class MetricLieAlgebra:
             raise ValueError("bracket not antisymmetric")
         # Jacobi: [[ui,uj],uk] + [[uj,uk],ui] + [[uk,ui],uj] = 0
         b = self.bracket
-        q = np.tensordot(b, b, axes=([2], [0]))  # q[i,j,k,l] = sum_m B_ijm B_mkl
-        r = q + q.transpose(1, 2, 0, 3) + q.transpose(2, 0, 1, 3)
-        if max_abs(r) > tolr:
+        if _jacobi_residual(b) > tolr:
             raise ValueError("bracket fails the Jacobi identity")
         # ad-invariance: <[ui,uj],uk> = <ui,[uj,uk]>
         lhs = np.tensordot(b, self.gram, axes=([2], [0]))  # [i,j,k]
@@ -214,7 +216,7 @@ class MetricLieAlgebra:
         return np.einsum("ilk,jkl->ij", self.bracket, self.bracket)
 
 
-def orthonormalize(g: MetricLieAlgebra, retries: int = 8) -> StructureTensor:
+def orthonormalize(g: MetricLieAlgebra) -> StructureTensor:
     """Structure tensor on a computed orthonormal basis of the form.
 
     Non-conjugated bilinear Gram-Schmidt over the complex numbers with
@@ -231,7 +233,7 @@ def orthonormalize(g: MetricLieAlgebra, retries: int = 8) -> StructureTensor:
     iso_tol = 1e-10 * scale
 
     rng = np.random.default_rng(0x5EED)
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         if attempt == 0:
             pool = [np.eye(n, dtype=complex)[i] for i in range(n)]
         else:
@@ -265,7 +267,7 @@ def orthonormalize(g: MetricLieAlgebra, retries: int = 8) -> StructureTensor:
                 jacobi_check(c) > TOL * max(1.0, float(max_abs(c.entries)) ** 2):
             raise OrthonormalizationFailed("output tensor failed re-verification")
         return c
-    raise OrthonormalizationFailed(f"no orthonormal basis found in {retries} attempts")
+    raise OrthonormalizationFailed(f"no orthonormal basis found in {RETRIES} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -285,34 +287,36 @@ def so3_eps() -> StructureTensor:
     return StructureTensor(3, ent, RATIONAL, lie=True, check=False)
 
 
+def _unit(n, i, j):
+    """The n x n matrix unit E_ij, exact."""
+    e = np.zeros((n, n), dtype=object)
+    e[i, j] = 1
+    return e
+
+
+def _brackets(mats, coords):
+    """B[p, q] = coords([X_p, X_q]) for a basis X of matrices, shape (d, d, d)."""
+    d = len(mats)
+    return np.array([coords(x @ y - y @ x) for x in mats for y in mats],
+                    dtype=object).reshape(d, d, d)
+
+
+def _trace_gram(mats):
+    """tr(X_p X_q), the trace form on a basis of matrices, shape (d, d)."""
+    d = len(mats)
+    return np.array([np.trace(x @ y) for x in mats for y in mats],
+                    dtype=object).reshape(d, d)
+
+
 def so_n_rational(n: int) -> StructureTensor:
     """so(n) on the basis E_ab - E_ba (a<b), with the form declaring it orthonormal.
 
     All structure constants are 0 or +-1, so the whole family stays exact.
     """
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    index = {p: i for i, p in enumerate(pairs)}
-    d = len(pairs)
-    ent = zeros_array((d, d, d), RATIONAL)
-
-    def coeff(x, y):
-        return (index[(x, y)], 1) if x < y else (index[(y, x)], -1)
-
-    for p, (a, b) in enumerate(pairs):
-        for q, (cc, dd) in enumerate(pairs):
-            terms = []
-            if b == cc and a != dd:
-                terms.append((a, dd, 1))
-            if a == dd and b != cc:
-                terms.append((b, cc, 1))
-            if b == dd and a != cc:
-                terms.append((a, cc, -1))
-            if a == cc and b != dd:
-                terms.append((b, dd, -1))
-            for x, y, s in terms:
-                r, s2 = coeff(x, y)
-                ent[p, q, r] += s * s2
-    return StructureTensor(d, ent, RATIONAL, lie=True, check=False)
+    mats = [_unit(n, a, b) - _unit(n, b, a) for a, b in pairs]
+    ent = _brackets(mats, lambda x: [x[a, b] for a, b in pairs])
+    return StructureTensor(len(pairs), ent, RATIONAL, lie=True, check=False)
 
 
 def sl2_killing() -> StructureTensor:
@@ -326,57 +330,16 @@ def sl_algebra(n: int) -> MetricLieAlgebra:
 
     Bracket constants and gram entries are exact integers on this basis.
     """
-    basis = [(i, j) for i in range(n) for j in range(n) if i != j]
-    nh = n - 1
-    d = len(basis) + nh
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    mats = [_unit(n, i, j) for i, j in off]
+    mats += [_unit(n, l, l) - _unit(n, l + 1, l + 1) for l in range(n - 1)]
 
-    def diag_coeffs(diag):
-        # expand a traceless diagonal in H_l = e_l - e_(l+1): mu_l = d_0+...+d_l
-        out = []
-        s = 0
-        for l in range(nh):
-            s += diag[l]
-            out.append(s)
-        return out
+    def coords(x):
+        # a traceless diagonal is sum_l mu_l H_l with mu_l = d_0 + ... + d_l
+        return [x[i, j] for i, j in off] + list(itertools.accumulate(x.diagonal()))[:n - 1]
 
-    def expand(mat):
-        # mat: dict (i,j) -> int, traceless
-        vec = [0] * d
-        for (i, j), v in mat.items():
-            if i != j:
-                vec[basis.index((i, j))] += v
-        diag = [mat.get((l, l), 0) for l in range(n)]
-        for l, mu in enumerate(diag_coeffs(diag)):
-            vec[len(basis) + l] += mu
-        return vec
-
-    def elem(idx):
-        if idx < len(basis):
-            i, j = basis[idx]
-            return {(i, j): 1}
-        l = idx - len(basis)
-        return {(l, l): 1, (l + 1, l + 1): -1}
-
-    def matmul(x, y):
-        out = {}
-        for (i, j), v in x.items():
-            for (jj, k), w in y.items():
-                if j == jj:
-                    out[(i, k)] = out.get((i, k), 0) + v * w
-        return out
-
-    bracket = zeros_array((d, d, d), RATIONAL)
-    gram = zeros_array((d, d), RATIONAL)
-    mats = [elem(i) for i in range(d)]
-    for p in range(d):
-        for q in range(d):
-            xy = matmul(mats[p], mats[q])
-            yx = matmul(mats[q], mats[p])
-            comm = {k: xy.get(k, 0) - yx.get(k, 0) for k in set(xy) | set(yx)}
-            for r, v in enumerate(expand(comm)):
-                bracket[p, q, r] = v
-            gram[p, q] = sum(v for (i, j), v in xy.items() if i == j)
-    return MetricLieAlgebra(d, bracket, gram, backend=RATIONAL)
+    return MetricLieAlgebra(len(mats), _brackets(mats, coords), _trace_gram(mats),
+                            backend=RATIONAL)
 
 
 def sl_n_trace(n: int) -> StructureTensor:
@@ -384,20 +347,10 @@ def sl_n_trace(n: int) -> StructureTensor:
 
 
 def gl_algebra(n: int) -> MetricLieAlgebra:
-    """gl(n) on the basis E_ij with the trace form."""
-    d = n * n
-    idx = {(i, j): i * n + j for i in range(n) for j in range(n)}
-    bracket = zeros_array((d, d, d), RATIONAL)
-    gram = zeros_array((d, d), RATIONAL)
-    for (a, b), p in idx.items():
-        for (c, e), q in idx.items():
-            # [E_ab, E_ce] = delta_bc E_ae - delta_ea E_cb
-            if b == c:
-                bracket[p, q, idx[(a, e)]] += 1
-            if e == a:
-                bracket[p, q, idx[(c, b)]] -= 1
-            gram[p, q] = int(b == c and a == e)
-    return MetricLieAlgebra(d, bracket, gram, backend=RATIONAL)
+    """gl(n) on the basis E_ij (index i*n + j) with the trace form."""
+    mats = [_unit(n, i, j) for i in range(n) for j in range(n)]
+    return MetricLieAlgebra(n * n, _brackets(mats, lambda x: x.reshape(-1)),
+                            _trace_gram(mats), backend=RATIONAL)
 
 
 def gl_n_trace(n: int) -> StructureTensor:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 usage or IO
-error (negative counts such as `--legs -1` or `--corpus random:-3`, and
-algebra specs such as `so:-2` or `so:x`, included).  Human-readable
+error (negative counts such as `--legs -1` or `--corpus random:-3`,
+algebra specs such as `so:-2` or `so:x`, and malformed input files
+included), 3 an internal error, reported with its traceback.  Human-readable
 messages go to stderr; with --json the machine report goes to stdout.
 Every command that uses randomness requires an explicit --seed.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,28 +47,37 @@ def load_algebra(spec: str) -> StructureTensor:
                     "so": algebras.so_n_rational,
                     "sl": algebras.sl_n_trace,
                     "gl": algebras.gl_n_trace}[name](n)
-    path = Path(spec)
-    return algebras.tensor_from_json_dict(json.loads(path.read_text()))
+    return _load_json(spec, algebras.tensor_from_json_dict)
 
 
 def load_graph(spec: str) -> diagrams.FixedDiagram:
     if spec in BUILTIN_GRAPHS:
         return BUILTIN_GRAPHS[spec]()
-    return diagrams.from_json_dict(json.loads(Path(spec).read_text()))
+    return _load_json(spec, diagrams.from_json_dict)
 
 
 def load_weights(spec: str):
     path = Path(spec)
     if path.suffix == ".json" and path.exists():
-        obj = json.loads(path.read_text())
-        if "loop_value" in obj:
-            backend = obj.get("backend", RATIONAL)
-            table = {}
-            for ent in obj.get("entries", []):
-                table[bytes.fromhex(ent["code"])] = _parse_value(ent["value"], backend)
-            return TableBacked(_parse_value(obj["loop_value"], backend), table, backend)
-        return TensorBacked(algebras.tensor_from_json_dict(obj))
+        return _load_json(path, _weights_from_json_dict)
     return TensorBacked(load_algebra(spec))
+
+
+def _load_json(path, parse):
+    """parse(the JSON in a file); malformed input is a usage error."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise TrivalentError(f"{path}: {exc!r}") from exc
+
+
+def _weights_from_json_dict(obj):
+    if "loop_value" not in obj:
+        return TensorBacked(algebras.tensor_from_json_dict(obj))
+    backend = obj.get("backend", RATIONAL)
+    table = {bytes.fromhex(ent["code"]): _parse_value(ent["value"], backend)
+             for ent in obj.get("entries", [])}
+    return TableBacked(_parse_value(obj["loop_value"], backend), table, backend)
 
 
 def _parse_value(v, backend):
@@ -175,12 +186,11 @@ def cmd_rank(args):
     cm = relations.connection_matrix(f, corpus)
     r = relations.rank(cm)
     loop = f.loop_value
-    n = loop.real if isinstance(loop, complex) else loop
-    if n != int(n) or n < 0:
+    n = loop.real
+    if loop != n or n != int(n) or n < 0:
         raise TrivalentError(f"loop value {loop} is not a nonnegative integer; "
                              "no rank bound applies")
-    n = int(n)
-    bound = n ** args.legs
+    bound = int(n) ** args.legs
     report = {"check": "rank",
               "params": {"legs": args.legs, "corpus": len(corpus),
                          "rank": r, "bound": bound},
@@ -268,7 +278,7 @@ def build_parser():
     q = sub.add_parser("delta", help="signed permutation-sum check")
     q.add_argument("--algebra", required=True)
     q.add_argument("--k", type=_at_least(0), required=True)
-    q.add_argument("--h", default=None, help="builtin:pid")
+    q.add_argument("--h", choices=["builtin:pid"], default=None)
     q.add_argument("--corpus", type=_random_corpus, default=None, help="random:<count>")
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--max-vertices", type=_at_least(0), default=4)
@@ -310,12 +320,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TrivalentError as exc:
+    except (TrivalentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:  # a bug, not a usage error
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -585,8 +585,13 @@ class DiagramCorpus:
             if d.num_legs != legs:
                 raise LegCountMismatch(f"expected {legs} legs, got {d.num_legs}")
             by_code.setdefault(canonical_form(d), d)
-        codes = sorted(by_code)
-        return cls(legs, tuple(by_code[c] for c in codes), tuple(codes))
+        return cls.by_code(legs, by_code)
+
+    @classmethod
+    def by_code(cls, legs, found):
+        """The corpus of a code -> diagram dict, in code order."""
+        codes = sorted(found)
+        return cls(legs, tuple(found[c] for c in codes), tuple(codes))
 
     def __len__(self):
         return len(self.items)

@@ -14,6 +14,7 @@ canonical code.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .diagrams import (
@@ -27,16 +28,14 @@ from .errors import TooLarge
 
 #: cap on raw matchings explored per vertex count
 WORK_GUARD = 8 * 10 ** 6
+#: cap on isomorphism classes kept
+MAX_CLASSES = 100_000
 
 _SELF = (2, 0)
 
 
 def double_factorial(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    return math.prod(range(m, 1, -2))
 
 
 def _matchings_rotation_pruned(v: int, k: int):
@@ -92,8 +91,7 @@ def _slots_diagram(v, k, partner):
     return FixedDiagram._raw(vertices, legs, partner, 0)
 
 
-def enumerate_fixed_diagrams(k: int, max_vertices: int,
-                             max_output: int = 100_000) -> DiagramCorpus:
+def enumerate_fixed_diagrams(k: int, max_vertices: int) -> DiagramCorpus:
     """All loop-free diagrams with exactly k legs and at most `max_vertices`
     trivalent vertices, one per isomorphism class, in canonical order."""
     found = {}
@@ -110,10 +108,9 @@ def enumerate_fixed_diagrams(k: int, max_vertices: int,
             code = canonical_form(d)
             if code not in found:
                 found[code] = d
-                if len(found) > max_output:
-                    raise TooLarge(f"more than {max_output} diagrams")
-    codes = sorted(found)
-    return DiagramCorpus(k, tuple(found[c] for c in codes), tuple(codes))
+                if len(found) > MAX_CLASSES:
+                    raise TooLarge(f"more than {MAX_CLASSES} diagrams")
+    return DiagramCorpus.by_code(k, found)
 
 
 def enumerate_matchings(m: int):
@@ -122,21 +119,9 @@ def enumerate_matchings(m: int):
         raise TooLarge(f"[{m}] has no perfect matching")
     if double_factorial(m - 1) > 10 ** 6:
         raise TooLarge(f"(m-1)!! = {double_factorial(m - 1)} exceeds the guard")
-    out = []
-
-    def rec(free, acc):
-        if not free:
-            out.append(tuple(acc))
-            return
-        a = free[0]
-        for i in range(1, len(free)):
-            b = free[i]
-            acc.append((a, b))
-            rec(free[1:i] + free[i + 1:], acc)
-            acc.pop()
-
-    rec(list(range(1, m + 1)), [])
-    return out
+    # with no vertices nothing is pruned, and smallest-free-slot-first is lexicographic
+    return [tuple((s + 1, t + 1) for s, t in enumerate(partner) if s < t)
+            for partner in _matchings_rotation_pruned(0, m)]
 
 
 def matching_diagram(matching, m: int) -> FixedDiagram:
@@ -177,5 +162,4 @@ def random_diagram_corpus(k: int, count: int, max_vertices: int, seed: int,
             partner[b] = a
         d = _slots_diagram(v, k, tuple(partner))
         found.setdefault(canonical_form(d), d)
-    codes = sorted(found)
-    return DiagramCorpus(k, tuple(found[c] for c in codes), tuple(codes))
+    return DiagramCorpus.by_code(k, found)

@@ -42,6 +42,8 @@ from .errors import DanglingAxes, LegCountMismatch, TableMiss, TooLarge
 MAX_ENTRIES = 2 ** 24
 #: a plan costing this many multiplies or more is also tried with RESTARTS random ties
 RESTART_MULTS, RESTARTS = 10 ** 7, 8
+#: the coloring-sum oracle refuses a diagram with more colorings than this
+ORACLE_COLORINGS = 10 ** 7
 
 
 @dataclass
@@ -204,17 +206,17 @@ def open_partition_function(c: StructureTensor, g: FixedDiagram,
     return DenseTensor(c.dim, g.num_legs, tensor, c.backend)
 
 
-def brute_force_oracle(c: StructureTensor, g: FixedDiagram, guard=10 ** 7):
+def brute_force_oracle(c: StructureTensor, g: FixedDiagram):
     """Closed coloring-sum oracle: the rank-0 value of `open_brute_force`."""
     require_no_legs(g)
-    return open_brute_force(c, g, guard).item()
+    return open_brute_force(c, g).item()
 
 
-def open_brute_force(c: StructureTensor, g: FixedDiagram, guard=10 ** 7) -> DenseTensor:
+def open_brute_force(c: StructureTensor, g: FixedDiagram) -> DenseTensor:
     """Literal sum over all n^|E| edge colorings, leg edges kept as axes;
     an exact transcription that never calls `plan` or `execute`."""
     n, num_edges = c.dim, g.num_darts // 2
-    if n ** num_edges > guard:
+    if n ** num_edges > ORACLE_COLORINGS:
         raise TooLarge(f"{n}^{num_edges} colorings exceed the guard")
     eid, ent = _edge_ids(g), c.entries
     leg_edges = [eid[dart] for dart in g.legs]
@@ -240,53 +242,45 @@ def pairing_identity_check(c: StructureTensor, g: FixedDiagram, h: FixedDiagram)
 # weight systems
 # ---------------------------------------------------------------------------
 
-class TensorBacked:
-    """Weight system f = partition function of a fixed structure tensor.
+class TableBacked:
+    """Weight system given by a table canonical-code -> value plus the loop value.
 
-    Values are multiplicative over components; component values are
-    memoized by canonical code, so a component met again is not
-    contracted again.
+    Values are multiplicative over components; a component whose code is
+    not in the table goes to `_missing`, which raises `TableMiss` here.
     """
 
-    def __init__(self, tensor: StructureTensor):
-        self.tensor = tensor
-        self.backend = tensor.backend
-        self.loop_value = algebras.as_scalar(tensor.dim, tensor.backend)
-        self._memo = {}
+    def __init__(self, loop_value, table, backend=RATIONAL):
+        self.backend = backend
+        self.loop_value = algebras.as_scalar(loop_value, backend)
+        self.table = {key: algebras.as_scalar(v, backend) for key, v in table.items()}
+
+    def _missing(self, g, darts, key):
+        raise TableMiss(key)
 
     def evaluate(self, g: FixedDiagram):
         require_no_legs(g)
         val = algebras.one(self.backend)
         for code, darts in _component_items(g):
-            v = self._memo.get(code)
-            if v is None:
-                v = partition_function(self.tensor, _extract_component(g, darts))
-                self._memo[code] = v
-            val = val * v
-        if g.loop_count:
-            val = val * self.loop_value ** g.loop_count
-        return val
-
-
-class TableBacked:
-    """Weight system given by a table canonical-code -> value plus the loop value."""
-
-    def __init__(self, loop_value, table, backend=RATIONAL):
-        self.backend = backend
-        self.loop_value = algebras.as_scalar(loop_value, backend)
-        self.table = dict(table)
-
-    def evaluate(self, g: FixedDiagram):
-        require_no_legs(g)
-        val = algebras.one(self.backend)
-        for code, _ in _component_items(g):
             key = _pack_single(code)
-            if key not in self.table:
-                raise TableMiss(key)
-            val = val * algebras.as_scalar(self.table[key], self.backend)
+            v = self.table.get(key)
+            val = val * (self._missing(g, darts, key) if v is None else v)
         if g.loop_count:
             val = val * self.loop_value ** g.loop_count
         return val
+
+
+class TensorBacked(TableBacked):
+    """Weight system f = partition function of a fixed structure tensor:
+    a table that fills itself, contracting a component the first time its
+    code is met."""
+
+    def __init__(self, tensor: StructureTensor):
+        super().__init__(tensor.dim, {}, tensor.backend)
+        self.tensor = tensor
+
+    def _missing(self, g, darts, key):
+        v = self.table[key] = partition_function(self.tensor, _extract_component(g, darts))
+        return v
 
 
 def evaluate(f, x):

@@ -35,6 +35,8 @@ from .errors import LegCountMismatch, TooLarge, ZeroDimension
 from .evaluation import TensorBacked, open_partition_function, partition_function
 
 DELTA_GUARD = 10 ** 6
+#: singular values at or below this fraction of the largest count as zero
+SVD_REL_TOL = 1e-8
 
 
 def _formal_open(c: StructureTensor, element):
@@ -196,9 +198,7 @@ def _rank_fraction_free(rows):
     mat = []
     for row in rows:
         fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in fr))
         mat.append([int(x * den) for x in fr])
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -223,14 +223,14 @@ def _rank_fraction_free(rows):
     return r
 
 
-def _rank_svd(rows, rel_tol=1e-8):
+def _rank_svd(rows):
     a = np.asarray(rows, dtype=complex)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > SVD_REL_TOL * s[0]))
 
 
 def rank(m: ConnectionMatrix) -> int:

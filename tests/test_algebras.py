@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -214,3 +215,32 @@ class TestRandomTensors:
         # there is no nonzero fully antisymmetric cubic tensor in dimension 2
         c = random_structure_tensor(2, seed=0, antisymmetric=True)
         assert all(x == 0 for x in c.entries.flat)
+
+
+class TestPinnedGenerators:
+    """The bracket and Gram entries of the matrix generators, value and Python
+    type, as sha256 of one `type value` line per entry (bracket, then Gram)."""
+
+    DIGESTS = {
+        ("so", 2): "ff3ed6e3ab8795c49227b390a41ebd5baf16d9269dddd9eefc89f95728a64ec0",
+        ("so", 3): "a7a929a20c5b30b59832bd385f7ae2b1bfcc1eb00ca2027e6c5af413771c9017",
+        ("so", 4): "5163adc6b753726236a5c33fdaa545ccca237778f125fc63e99217cc5852ffd4",
+        ("so", 5): "e052d28f8eca1752ff13ae0fb88bc29ff056b78b5466f04c51eb032ac65e05b7",
+        ("so", 6): "e129ed70f06cc7d7c680326a3cc84b92ed60ee8a074a3f1228e70185e3c84b7c",
+        ("sl", 2): "0c991fb0287b6558e2b993ed8f9e528980c799c233d3933067079aa957b6deb6",
+        ("sl", 3): "28b255a4035402086d103c8f18ba067e1e5328e2256f7022e041a9044326c87c",
+        ("sl", 4): "7038c70bb145ee3c5ced6004683323c2cf535a2b02d07102faaf773b4d57679d",
+        ("gl", 1): "954c815cf7c8f1143e1a3dc6013431e927572ee130656464de2494f9a6991779",
+        ("gl", 2): "29ae2c6628151ae344c0cca9ace5f899675cedf449898e259cbca75ae2f7b5ab",
+        ("gl", 3): "8baaa09176994251e4ac61bc9e30be1324b5ac1c3cada05c6a6a93b667bf3f6b",
+    }
+
+    @pytest.mark.parametrize("name, n", sorted(DIGESTS))
+    def test_digest(self, name, n):
+        if name == "so":
+            arrays = (so_n_rational(n).entries,)  # the form is the identity
+        else:
+            g = {"sl": sl_algebra, "gl": gl_algebra}[name](n)
+            arrays = (g.bracket, g.gram)
+        text = "\n".join(f"{type(x).__name__} {x}" for a in arrays for x in a.flat)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name, n]

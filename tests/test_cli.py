@@ -49,6 +49,24 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--algebra", "so3", "--graph", "nope.json")
         assert code == 2 and err
 
+    def test_malformed_file_is_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        for text in ("{", json.dumps({"vertices": []}) + "x", json.dumps({"dim": 3}),
+                     json.dumps({"dim": 2, "backend": "rational", "entries": 5})):
+            p.write_text(text)
+            code, out, err = run(capsys, "eval", "--algebra", str(p), "--graph", "builtin:theta")
+            assert code == 2 and not out and err.startswith(f"error: {p}: ")
+            assert "Traceback" not in err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(c, g):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("trivalent.cli.partition_function", broken)
+        code, out, err = run(capsys, "eval", "--algebra", "so3", "--graph", "builtin:theta")
+        assert code == 3 and not out
+        assert "Traceback" in err and "KeyError: 'internal'" in err
+
 
 class TestCheck:
     def test_all_pass(self, capsys):
@@ -109,7 +127,8 @@ class TestDelta:
         assert code == 2 and not out and err == "error: 10! permutations exceed the guard"
 
     @pytest.mark.parametrize("bad", [["--max-vertices", "-2"], ["--corpus", "random:-3"],
-                                     ["--k", "-1"], ["--corpus", "walk:3"]])
+                                     ["--k", "-1"], ["--corpus", "walk:3"],
+                                     ["--h", "bogus"]])
     def test_bad_counts_are_usage_errors(self, capsys, bad):
         # the later of two occurrences of an option wins
         with pytest.raises(SystemExit) as info:
@@ -177,6 +196,13 @@ class TestRank:
         out = capsys.readouterr()
         assert not out.out and flag in out.err and "Traceback" not in out.err
         assert not (tmp_path / "corpus").exists()
+
+    def test_complex_loop_value_has_no_bound(self, capsys, tmp_path):
+        p = tmp_path / "table.json"
+        p.write_text(json.dumps({"backend": "complex", "loop_value": [3, 1], "entries": []}))
+        code, out, err = run(capsys, "rank", "--weights", str(p), "--legs", "2",
+                             "--max-vertices", "0", "--json")
+        assert code == 2 and not out and "no rank bound applies" in err
 
     def test_max_corpus_caps(self, capsys):
         code, out, _ = run(capsys, "rank", "--weights", "so3", "--legs", "2",

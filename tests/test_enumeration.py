@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from trivalent import (
@@ -66,6 +68,15 @@ class TestEnumerateMatchings:
         ms = enumerate_matchings(4)
         assert ms == sorted(ms)
         assert ms[0] == ((1, 2), (3, 4))
+
+    @pytest.mark.parametrize("m", range(0, 11, 2))
+    def test_against_itertools(self, m):
+        # sets of m/2 pairs that cover [m]; disjoint pairs in lexicographic
+        # order list a matching by its smaller elements
+        pairs = itertools.combinations(range(1, m + 1), 2)
+        ref = sorted(c for c in itertools.combinations(pairs, m // 2)
+                     if len({x for pair in c for x in pair}) == m)
+        assert enumerate_matchings(m) == ref
 
     def test_guard(self):
         with pytest.raises(TooLarge):

@@ -339,7 +339,8 @@ class TestWeightSystems:
         v1 = f.evaluate(k4())
         v2 = f.evaluate(k4())
         assert v1 == v2 == 6
-        assert f._memo
+        # the memo is the table, keyed as table.json files key it
+        assert f.table == {canonical_form(k4()): 6}
 
 
 class TestStructuralLaws:

@@ -370,6 +370,19 @@ class TestFactoredConnectionMatrix:
         m = len(corpus)
         assert len(calls) == m * (m + 1) // 2
 
+    def test_filled_table_is_a_table(self):
+        # a tensor-backed system's filled table, handed to TableBacked, is the
+        # same weight system on every diagram it covers
+        f = TensorBacked(so3_eps())
+        corpus = _corpus(2, 3, None)
+        closed = list(_corpus(0, 4, None))
+        ref = _glued_matrix(f, corpus)
+        values = [f.evaluate(g) for g in closed]
+        t = TableBacked(3, f.table)
+        assert [t.evaluate(g) for g in closed] == values
+        assert all(type(x) is Fraction for x in values)
+        assert connection_matrix(t, corpus).entries == ref
+
     @pytest.mark.parametrize("make", [so3_eps, sl2_killing])
     def test_over_entry_limit_glues(self, monkeypatch, make):
         c = make()
