@@ -64,9 +64,12 @@ def load_weights(spec: str):
 
 
 def _load_json(path, parse):
-    """parse(the JSON in a file); malformed input is a usage error."""
+    """parse(the JSON object in a file); malformed input is a usage error."""
     try:
-        return parse(json.loads(Path(path).read_text()))
+        obj = json.loads(Path(path).read_text())
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, not {type(obj).__name__}")
+        return parse(obj)
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise TrivalentError(f"{path}: {exc!r}") from exc
 
@@ -180,17 +183,16 @@ def cmd_delta(args):
 
 def cmd_rank(args):
     f = load_weights(args.weights)
-    corpus = enumeration.enumerate_fixed_diagrams(args.legs, args.max_vertices)
-    if args.max_corpus is not None:
-        corpus = corpus.head(args.max_corpus)
-    cm = relations.connection_matrix(f, corpus)
-    r = relations.rank(cm)
     loop = f.loop_value
     n = loop.real
-    if loop != n or n != int(n) or n < 0:
+    if loop != n or abs(n) == float("inf") or n != int(n) or n < 0:
         raise TrivalentError(f"loop value {loop} is not a nonnegative integer; "
                              "no rank bound applies")
     bound = int(n) ** args.legs
+    corpus = enumeration.enumerate_fixed_diagrams(args.legs, args.max_vertices)
+    if args.max_corpus is not None:
+        corpus = corpus.head(args.max_corpus)
+    r = relations.rank(relations.connection_matrix(f, corpus))
     report = {"check": "rank",
               "params": {"legs": args.legs, "corpus": len(corpus),
                          "rank": r, "bound": bound},

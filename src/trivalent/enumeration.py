@@ -1,19 +1,21 @@
 """Deterministic generation of diagram corpora.
 
-Fixed diagrams with v trivalent vertices and k legs are in bijection with
-perfect matchings on the 3v vertex slots plus k leg slots, modulo
-rotating each vertex's slot triple and permuting vertices.  The
-enumerator walks all matchings smallest-slot-first and prunes, as soon as
-a vertex's three partners are known, any assignment that is not
-rotation-minimal at that vertex; the rotation key only looks at the
-partner's owning vertex (or leg label, or self-loop status), which is
-itself rotation-invariant, so every isomorphism class survives the
-pruning.  Duplicates that remain (vertex permutations) are removed by
-canonical code.
+A connected component rooted at a dart has no non-trivial automorphism,
+and `diagrams._bfs_code` from that root describes it completely.  So each
+rooted component is built once, dart by dart in the order its code reads
+them: a dart unpaired at its turn joins an unused leg, an unpaired dart
+of a vertex already reached, or one fresh vertex.  Legged components are
+rooted at their smallest leg's partner, closed ones at dart 0 and kept
+only if no other root gives a smaller code (orderly generation: Read
+1978; McKay 1998).  A diagram is one legged component per block of a set
+partition of the legs (a 2-block may be a bare edge) plus closed ones,
+within the vertex budget.  Components and classes count against
+`MAX_CLASSES` before any diagram is built, and no code is recomputed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -26,91 +28,149 @@ from .diagrams import (
 )
 from .errors import TooLarge
 
-#: cap on raw matchings explored per vertex count
-WORK_GUARD = 8 * 10 ** 6
-#: cap on isomorphism classes kept
+#: cap on the components generated, and on the classes of one corpus
 MAX_CLASSES = 100_000
-
-_SELF = (2, 0)
 
 
 def double_factorial(m: int) -> int:
     return math.prod(range(m, 1, -2))
 
 
-def _matchings_rotation_pruned(v: int, k: int):
-    """Yield partner arrays for slots [0, 3v+k); leg slots are the last k."""
-    m = 3 * v + k
-    nv = 3 * v
-    partner = [-1] * m
+def _least_root(code, partner):
+    """True if no other root of a closed component gives a smaller code;
+    each rival traversal stops where it first differs from `code`."""
+    for root in range(1, len(partner)):
+        num = [-1] * len(partner)
+        num[root] = 0
+        order = [root]
+        for i, x in enumerate(order):
+            r, p = x + 1 if x % 3 < 2 else x - 2, partner[x]
+            for y in (r, p):
+                if num[y] < 0:
+                    num[y] = len(order)
+                    order.append(y)
+            pair, best = [num[r], num[p]], code[2 * i:2 * i + 2]
+            if pair != best:
+                if pair < best:
+                    return False
+                break
+    return True
 
-    def key(p, w):
-        if p >= nv:
-            return (1, p - nv)
-        pw = p // 3
-        return _SELF if pw == w else (0, pw)
 
-    def vertex_ok(w):
-        base = 3 * w
-        a = key(partner[base], w)
-        b = key(partner[base + 1], w)
-        c = key(partner[base + 2], w)
-        t = (a, b, c)
-        return t <= (b, c, a) and t <= (c, a, b)
+def _components(legs, budget, room):
+    """Connected components on legs 1..`legs` with 1..`budget` vertices, each
+    once, as (vertices, code, (dart, partner) pairs); past `room`, TooLarge.
+    Darts run vertex by vertex in cyclic order; leg l is dart -l."""
+    out = []
+    partner = [None] * (3 * budget + legs)
+    num = [-1] * (3 * budget)
+    if budget < 1:
+        return out
+    if legs:
+        partner[0], partner[-1] = -1, 0  # the root is the partner of leg 1
+    num[0] = 0
+    order = [0]
+    seq = []
 
-    def rec(lo):
-        s = lo
-        while s < m and partner[s] >= 0:
-            s += 1
-        if s == m:
-            yield tuple(partner)
+    def step(i, nv):
+        if i == len(order):
+            if None not in partner[3 * budget:] and (legs or _least_root(seq, partner[:3 * nv])):
+                if len(out) == room:
+                    raise TooLarge(f"more than {MAX_CLASSES} components to enumerate")
+                out.append((nv, ("map",) + tuple(seq), tuple(enumerate(partner[:3 * nv]))))
             return
-        for t in range(s + 1, m):
-            if partner[t] >= 0:
-                continue
-            partner[s] = t
-            partner[t] = s
-            ok = True
-            for w in {s // 3} | ({t // 3} if t < nv else set()):
-                if w * 3 < nv and all(partner[3 * w + j] >= 0 for j in range(3)):
-                    if not vertex_ok(w):
-                        ok = False
-                        break
-            if ok:
-                yield from rec(s + 1)
-            partner[s] = -1
-            partner[t] = -1
+        x = order[i]
+        r, p = x + 1 if x % 3 < 2 else x - 2, partner[x]
+        for t in [p] if p is not None else [
+                y for y in range(-legs, min(3 * nv + 1, 3 * budget))
+                if y != x and partner[y] is None]:
+            partner[x], partner[t] = t, x
+            n = len(order)
+            for y in (r, t):
+                if y >= 0 and num[y] < 0:
+                    num[y] = len(order)
+                    order.append(y)
+            seq.extend((num[r], t if t < 0 else num[t]))
+            step(i + 1, nv + (t == 3 * nv))
+            del seq[-2:]
+            for y in order[n:]:
+                num[y] = -1
+            del order[n:]
+            if p is None:
+                partner[x] = partner[t] = None
 
-    if m % 2 == 0:
-        yield from rec(0)
-
-
-def _slots_diagram(v, k, partner):
-    vertices = tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(v))
-    legs = tuple(range(3 * v, 3 * v + k))
-    return FixedDiagram._raw(vertices, legs, partner, 0)
+    step(0, 1)
+    return out
 
 
 def enumerate_fixed_diagrams(k: int, max_vertices: int) -> DiagramCorpus:
     """All loop-free diagrams with exactly k legs and at most `max_vertices`
     trivalent vertices, one per isomorphism class, in canonical order."""
+    # the other k - s legs need (k - s) % 2 vertices at least (bare edges
+    # and a tadpole or tripod), so each component kept lies in some class
+    comps = {}
+    for s in (*range(1, k + 1), 0):
+        room = MAX_CLASSES - sum(map(len, comps.values()))
+        comps[s] = _components(s, max_vertices - (k - s) % 2, room)
+    if k >= 2:
+        comps[2].append((0, ("edge", 1, 2), ((-1, -2),)))
+    closed = [c + ((),) for c in comps.pop(0)]
+    on_block = {}
+
+    def classes(labels, budget, start):
+        """Components on blocks of `labels`, then from closed[start:]."""
+        if not labels:
+            yield ()
+            for i in range(start, len(closed)):
+                if closed[i][0] <= budget:
+                    for rest in classes((), budget - closed[i][0], i):
+                        yield (closed[i],) + rest
+            return
+        for others in itertools.chain.from_iterable(
+                itertools.combinations(labels[1:], j) for j in range(len(labels))):
+            block = labels[:1] + others
+            if block not in on_block:
+                on_block[block] = [(v, ("edge",) + block if v == 0 else code[:1] + tuple(
+                    x if x >= 0 else -block[-x - 1] for x in code[1:]), pairs, block)
+                    for v, code, pairs in comps[len(block)]]
+            left = tuple(x for x in labels[1:] if x not in others)
+            for comp in on_block[block]:
+                if comp[0] <= budget:
+                    for rest in classes(left, budget - comp[0], 0):
+                        yield (comp,) + rest
+
     found = {}
-    for v in range(max_vertices + 1):
-        if (3 * v + k) % 2:
-            continue
-        if v == 0 and k == 0:
-            continue
-        m = 3 * v + k
-        if double_factorial(m - 1) > WORK_GUARD:
-            raise TooLarge(f"{m} slots: too many matchings to enumerate")
-        for partner in _matchings_rotation_pruned(v, k):
-            d = _slots_diagram(v, k, partner)
-            code = canonical_form(d)
-            if code not in found:
-                found[code] = d
-                if len(found) > MAX_CLASSES:
-                    raise TooLarge(f"more than {MAX_CLASSES} diagrams")
-    return DiagramCorpus.by_code(k, found)
+    for parts in classes(tuple(range(1, k + 1)), max_vertices, 0):
+        if parts:
+            if len(found) == MAX_CLASSES:
+                raise TooLarge(f"more than {MAX_CLASSES} diagrams to enumerate")
+            found[repr((tuple(sorted(c[1] for c in parts)), 0)).encode()] = parts
+    return DiagramCorpus.by_code(k, {code: _build(k, parts, code)
+                                     for code, parts in found.items()})
+
+
+def _build(k, parts, code):
+    """The representative: vertex darts first, vertex by vertex, then legs."""
+    base = 3 * sum(c[0] for c in parts)
+    partner = [0] * (base + k)
+    off = 0
+    for v, _, pairs, block in parts:
+        for pair in pairs:
+            a, b = (off + y if y >= 0 else base + block[-y - 1] - 1 for y in pair)
+            partner[a], partner[b] = b, a
+        off += 3 * v
+    d = FixedDiagram._raw(tuple((x, x + 1, x + 2) for x in range(0, base, 3)),
+                          tuple(range(base, base + k)), tuple(partner), 0)
+    d._code = code
+    return d
+
+
+def _matchings(labels):
+    if not labels:
+        yield ()
+    for j in range(1, len(labels)):
+        for rest in _matchings(labels[1:j] + labels[j + 1:]):
+            yield ((labels[0], labels[j]),) + rest
 
 
 def enumerate_matchings(m: int):
@@ -119,9 +179,7 @@ def enumerate_matchings(m: int):
         raise TooLarge(f"[{m}] has no perfect matching")
     if double_factorial(m - 1) > 10 ** 6:
         raise TooLarge(f"(m-1)!! = {double_factorial(m - 1)} exceeds the guard")
-    # with no vertices nothing is pruned, and smallest-free-slot-first is lexicographic
-    return [tuple((s + 1, t + 1) for s, t in enumerate(partner) if s < t)
-            for partner in _matchings_rotation_pruned(0, m)]
+    return list(_matchings(tuple(range(1, m + 1))))
 
 
 def matching_diagram(matching, m: int) -> FixedDiagram:
@@ -160,6 +218,7 @@ def random_diagram_corpus(k: int, count: int, max_vertices: int, seed: int,
             a, b = slots[i], slots[i + 1]
             partner[a] = b
             partner[b] = a
-        d = _slots_diagram(v, k, tuple(partner))
+        d = FixedDiagram._raw(tuple((x, x + 1, x + 2) for x in range(0, 3 * v, 3)),
+                              tuple(range(3 * v, m)), tuple(partner), 0)
         found.setdefault(canonical_form(d), d)
     return DiagramCorpus.by_code(k, found)

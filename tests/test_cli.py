@@ -58,6 +58,14 @@ class TestEval:
             assert code == 2 and not out and err.startswith(f"error: {p}: ")
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["[1]", "3", "null", '"theta"'])
+    def test_graph_file_not_an_object_is_usage_error(self, capsys, tmp_path, text):
+        p = tmp_path / "arr.json"
+        p.write_text(text)
+        code, out, err = run(capsys, "eval", "--algebra", "so3", "--graph", str(p))
+        assert code == 2 and not out and err.startswith(f"error: {p}: ")
+        assert "Traceback" not in err
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(c, g):
             raise KeyError("internal")
@@ -203,6 +211,15 @@ class TestRank:
         code, out, err = run(capsys, "rank", "--weights", str(p), "--legs", "2",
                              "--max-vertices", "0", "--json")
         assert code == 2 and not out and "no rank bound applies" in err
+
+    @pytest.mark.parametrize("loop", ["Infinity", "-Infinity", "NaN", "[Infinity, 0]"])
+    def test_infinite_complex_loop_value_has_no_bound(self, capsys, tmp_path, loop):
+        p = tmp_path / "inf.json"
+        p.write_text('{"backend": "complex", "loop_value": %s, "entries": []}' % loop)
+        code, out, err = run(capsys, "rank", "--weights", str(p), "--legs", "0",
+                             "--max-vertices", "0")
+        assert code == 2 and not out and "no rank bound applies" in err
+        assert "Traceback" not in err
 
     def test_max_corpus_caps(self, capsys):
         code, out, _ = run(capsys, "rank", "--weights", "so3", "--legs", "2",

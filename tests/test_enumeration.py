@@ -1,8 +1,11 @@
+import functools
 import itertools
+from time import perf_counter
 
 import pytest
 
 from trivalent import (
+    FixedDiagram,
     are_isomorphic,
     canonical_form,
     enumerate_fixed_diagrams,
@@ -16,8 +19,79 @@ from trivalent import (
     theta,
     validate,
 )
+from trivalent import enumeration
 from trivalent.enumeration import double_factorial
 from trivalent.errors import TooLarge
+
+
+def _matchings_rotation_pruned(v, k):
+    """Partner arrays for slots [0, 3v+k), leg slots last: every perfect
+    matching, smallest free slot first, less those in which some vertex's
+    slot triple is not rotation-minimal (by the partner's vertex, leg label
+    or self-loop, all rotation-invariant, so every class survives)."""
+    m = 3 * v + k
+    nv = 3 * v
+    partner = [-1] * m
+
+    def key(p, w):
+        if p >= nv:
+            return (1, p - nv)
+        pw = p // 3
+        return (2, 0) if pw == w else (0, pw)
+
+    def vertex_ok(w):
+        a, b, c = (key(partner[3 * w + j], w) for j in range(3))
+        return (a, b, c) <= (b, c, a) and (a, b, c) <= (c, a, b)
+
+    def rec(lo):
+        s = lo
+        while s < m and partner[s] >= 0:
+            s += 1
+        if s == m:
+            yield tuple(partner)
+            return
+        for t in range(s + 1, m):
+            if partner[t] >= 0:
+                continue
+            partner[s] = t
+            partner[t] = s
+            if all(vertex_ok(w) for w in {s // 3, t // 3}
+                   if 3 * w < nv and all(partner[3 * w + j] >= 0 for j in range(3))):
+                yield from rec(s + 1)
+            partner[s] = -1
+            partner[t] = -1
+
+    if m % 2 == 0:
+        yield from rec(0)
+
+
+@functools.lru_cache(maxsize=None)
+def walk_codes(k, v):
+    """Canonical codes of the k-legged diagrams with exactly v vertices, by
+    the matching walk: code every rotation-pruned matching, keep distinct."""
+    if v == 0 and k == 0:
+        return frozenset()
+    vertices = tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(v))
+    legs = tuple(range(3 * v, 3 * v + k))
+    return frozenset(canonical_form(FixedDiagram._raw(vertices, legs, partner, 0))
+                     for partner in _matchings_rotation_pruned(v, k))
+
+
+def fresh_code(d):
+    """canonical_form of a copy of d that does not carry a stored code."""
+    return canonical_form(FixedDiagram._raw(d.vertices, d.legs, d.partner, d.loop_count))
+
+
+def drop_leg_one_vertex(d):
+    """A 1-legged diagram less the vertex at its leg: that vertex's other two
+    darts, in its cyclic order, become legs 1 and 2 (a bare edge if they
+    were joined), so v vertices and 1 leg go to v - 1 vertices and 2 legs."""
+    leg = d.legs[0]
+    a = d.partner[leg]
+    tri = next(t for t in d.vertices if a in t)
+    i = tri.index(a)
+    return FixedDiagram([t for t in d.vertices if t != tri], [tri[i - 2], tri[i - 1]],
+                        [e for e in d.edges() if leg not in e], d.loop_count)
 
 
 class TestEnumerateDiagrams:
@@ -52,9 +126,54 @@ class TestEnumerateDiagrams:
         b = enumerate_fixed_diagrams(2, 2)
         assert a.codes == b.codes
 
-    def test_work_guard(self):
+    @pytest.mark.parametrize("k, v", [(k, v) for k in range(5) for v in range(6)
+                                      if 3 * v + k <= 16])
+    def test_against_the_matching_walk(self, k, v):
+        corpus = enumerate_fixed_diagrams(k, v)
+        assert corpus.codes == tuple(sorted(frozenset().union(
+            *(walk_codes(k, w) for w in range(v + 1)))))
+        for d, code in zip(corpus, corpus.codes):
+            assert canonical_form(d) == fresh_code(d) == code
+
+    @pytest.mark.parametrize("k, v, count", [(0, 6, 144), (2, 6, 1595), (3, 5, 1450),
+                                             (1, 7, 1595), (0, 8, 1762)])
+    def test_counts_past_the_walk(self, k, v, count):
+        corpus = enumerate_fixed_diagrams(k, v)
+        assert len(corpus) == count
+        for d, code in zip(corpus, corpus.codes):
+            assert d.num_legs == k and d.num_vertices <= v and d.loop_count == 0
+            assert canonical_form(d) == fresh_code(d) == code
+
+    @pytest.mark.parametrize("v, count", [(4, 101), (6, 1595)])
+    def test_leg_vertex_bijection(self, v, count):
+        one = enumerate_fixed_diagrams(1, v + 1)
+        two = enumerate_fixed_diagrams(2, v)
+        images = {canonical_form(drop_leg_one_vertex(d)) for d in one}
+        assert len(one) == len(two) == len(images) == count
+        assert images == set(two.codes)
+
+    @pytest.mark.parametrize("k, v", [(0, 6), (2, 6), (3, 5)])
+    def test_random_samples_are_generated(self, k, v):
+        codes = set(enumerate_fixed_diagrams(k, v).codes)
+        sample = random_diagram_corpus(k, 100, v, seed=k + v)
+        assert len(sample) == 100 and set(sample.codes) <= codes
+
+    @pytest.mark.parametrize("k, v, cap, what", [(4, 2, 40, "diagrams"),
+                                                 (4, 4, 40, "components")])
+    def test_cap_raises_before_building(self, monkeypatch, k, v, cap, what):
+        def build(*args):
+            raise AssertionError("a diagram was built past the cap")
+
+        monkeypatch.setattr(enumeration, "MAX_CLASSES", cap)
+        monkeypatch.setattr(enumeration, "_build", build)
+        with pytest.raises(TooLarge, match=f"more than {cap} {what}"):
+            enumerate_fixed_diagrams(k, v)
+
+    def test_large_corpus_raises_quickly(self):
+        t0 = perf_counter()
         with pytest.raises(TooLarge):
-            enumerate_fixed_diagrams(0, 8)
+            enumerate_fixed_diagrams(4, 8)
+        assert perf_counter() - t0 < 5
 
 
 class TestEnumerateMatchings:
