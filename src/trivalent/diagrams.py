@@ -440,7 +440,7 @@ def canonical_form(d: FixedDiagram) -> bytes:
             codes = tuple(sorted(code for code, _ in _component_items(d)))
         except (IndexError, TypeError) as exc:  # partial pairing etc.
             raise InvalidDiagram(str(exc)) from exc
-        d._code = repr((codes, d.loop_count)).encode()
+        d._code = _pack(codes, d.loop_count)
     return d._code
 
 
@@ -448,9 +448,9 @@ def are_isomorphic(a: FixedDiagram, b: FixedDiagram) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _pack_single(code, loop_count=0) -> bytes:
-    """Canonical bytes of a one-component diagram with the given component code."""
-    return repr(((code,), loop_count)).encode()
+def _pack(codes, loop_count=0) -> bytes:
+    """Canonical bytes of a diagram with the given sorted component codes."""
+    return repr((codes, loop_count)).encode()
 
 
 def _extract_component(d, darts):

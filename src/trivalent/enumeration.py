@@ -9,8 +9,10 @@ rooted at their smallest leg's partner, closed ones at dart 0 and kept
 only if no other root gives a smaller code (orderly generation: Read
 1978; McKay 1998).  A diagram is one legged component per block of a set
 partition of the legs (a 2-block may be a bare edge) plus closed ones,
-within the vertex budget.  Components and classes count against
-`MAX_CLASSES` before any diagram is built, and no code is recomputed.
+within the vertex budget.  Components come by vertex count, and every
+branch taken ends in a component or class; these count against
+`MAX_CLASSES` before any diagram is built, so a large budget stops at a
+small vertex count, and no code is recomputed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import random
 from .diagrams import (
     DiagramCorpus,
     FixedDiagram,
+    _pack,
     canonical_form,
     glue,
     tri_star,
@@ -37,13 +40,16 @@ def double_factorial(m: int) -> int:
 
 
 def _least_root(code, partner):
-    """True if no other root of a closed component gives a smaller code;
-    each rival traversal stops where it first differs from `code`."""
+    """True unless another root of a closed component, complete or not, gives
+    a smaller code; a rival traversal stops where it first differs from
+    `code`, passes its end or meets a dart not yet paired."""
     for root in range(1, len(partner)):
         num = [-1] * len(partner)
         num[root] = 0
         order = [root]
         for i, x in enumerate(order):
+            if 2 * i == len(code) or partner[x] is None:
+                break
             r, p = x + 1 if x % 3 < 2 else x - 2, partner[x]
             for y in (r, p):
                 if num[y] < 0:
@@ -59,31 +65,43 @@ def _least_root(code, partner):
 
 def _components(legs, budget, room):
     """Connected components on legs 1..`legs` with 1..`budget` vertices, each
-    once, as (vertices, code, (dart, partner) pairs); past `room`, TooLarge.
-    Darts run vertex by vertex in cyclic order; leg l is dart -l."""
+    once and by vertex count, as (vertices, code, (dart, partner) pairs);
+    past `room`, TooLarge.  Darts run vertex by vertex in cyclic order; leg l
+    is dart -l."""
     out = []
-    partner = [None] * (3 * budget + legs)
-    num = [-1] * (3 * budget)
     if budget < 1:
         return out
+    partner = [None] * (3 * budget + legs)
+    num = [-1] * (3 * budget)
     if legs:
         partner[0], partner[-1] = -1, 0  # the root is the partner of leg 1
     num[0] = 0
     order = [0]
     seq = []
 
-    def step(i, nv):
+    def step(i, nv, free, left):
+        """Pair order[i]; `free` darts of the nv vertices reached are unpaired,
+        `left` legs unused.  A fresh vertex adds a free dart, a leg takes one,
+        a pair two, so a branch can end with exactly `size` vertices iff free
+        >= left - (size - nv) and a dart stays free until the end.  A closed
+        component adds no vertex once a root reached beats its code so far."""
         if i == len(order):
-            if None not in partner[3 * budget:] and (legs or _least_root(seq, partner[:3 * nv])):
+            if legs or _least_root(seq, partner[:3 * nv]):
                 if len(out) == room:
                     raise TooLarge(f"more than {MAX_CLASSES} components to enumerate")
                 out.append((nv, ("map",) + tuple(seq), tuple(enumerate(partner[:3 * nv]))))
             return
         x = order[i]
         r, p = x + 1 if x % 3 < 2 else x - 2, partner[x]
-        for t in [p] if p is not None else [
-                y for y in range(-legs, min(3 * nv + 1, 3 * budget))
+        for t, f, u in [(p, free, left)] if p is not None else [
+                (y, free - 2 + (y < 0) + 3 * (y == 3 * nv), left - (y < 0))
+                for y in range(-legs, min(3 * nv + 1, 3 * size))
                 if y != x and partner[y] is None]:
+            m = size - nv - (t == 3 * nv)
+            if f < u - m or not (f or u == m == 0):
+                continue
+            if not legs and t == 3 * nv and not _least_root(seq, partner[:3 * nv]):
+                continue
             partner[x], partner[t] = t, x
             n = len(order)
             for y in (r, t):
@@ -91,7 +109,7 @@ def _components(legs, budget, room):
                     num[y] = len(order)
                     order.append(y)
             seq.extend((num[r], t if t < 0 else num[t]))
-            step(i + 1, nv + (t == 3 * nv))
+            step(i + 1, nv + (t == 3 * nv), f, u)
             del seq[-2:]
             for y in order[n:]:
                 num[y] = -1
@@ -99,13 +117,19 @@ def _components(legs, budget, room):
             if p is None:
                 partner[x] = partner[t] = None
 
-    step(0, 1)
+    # the parity of 3 * size + legs is that of the darts, which pair up
+    for size in range(max(1, legs - 2), budget + 1):
+        if (size + legs) % 2 == 0:
+            step(0, 1, 3 - bool(legs), max(legs - 1, 0))
     return out
 
 
 def enumerate_fixed_diagrams(k: int, max_vertices: int) -> DiagramCorpus:
     """All loop-free diagrams with exactly k legs and at most `max_vertices`
     trivalent vertices, one per isomorphism class, in canonical order."""
+    # bare edges, and one tadpole if k is odd, already give this many classes
+    if (k % 2 == 0 or max_vertices > 0) and double_factorial(k - 1 - k % 2) > MAX_CLASSES:
+        raise TooLarge(f"more than {MAX_CLASSES} diagrams to enumerate")
     # the other k - s legs need (k - s) % 2 vertices at least (bare edges
     # and a tadpole or tripod), so each component kept lies in some class
     comps = {}
@@ -113,38 +137,43 @@ def enumerate_fixed_diagrams(k: int, max_vertices: int) -> DiagramCorpus:
         room = MAX_CLASSES - sum(map(len, comps.values()))
         comps[s] = _components(s, max_vertices - (k - s) % 2, room)
     if k >= 2:
-        comps[2].append((0, ("edge", 1, 2), ((-1, -2),)))
+        comps[2].insert(0, (0, ("edge", 1, 2), ((-1, -2),)))
     closed = [c + ((),) for c in comps.pop(0)]
     on_block = {}
 
     def classes(labels, budget, start):
-        """Components on blocks of `labels`, then from closed[start:]."""
+        """Components on blocks of `labels`, then from closed[start:]; an odd
+        number of labels left needs a vertex, so every branch ends in a class."""
         if not labels:
             yield ()
             for i in range(start, len(closed)):
-                if closed[i][0] <= budget:
-                    for rest in classes((), budget - closed[i][0], i):
-                        yield (closed[i],) + rest
+                if closed[i][0] > budget:
+                    break
+                for rest in classes((), budget - closed[i][0], i):
+                    yield (closed[i],) + rest
             return
-        for others in itertools.chain.from_iterable(
-                itertools.combinations(labels[1:], j) for j in range(len(labels))):
-            block = labels[:1] + others
-            if block not in on_block:
-                on_block[block] = [(v, ("edge",) + block if v == 0 else code[:1] + tuple(
-                    x if x >= 0 else -block[-x - 1] for x in code[1:]), pairs, block)
-                    for v, code, pairs in comps[len(block)]]
-            left = tuple(x for x in labels[1:] if x not in others)
-            for comp in on_block[block]:
-                if comp[0] <= budget:
-                    for rest in classes(left, budget - comp[0], 0):
-                        yield (comp,) + rest
+        for j in range(len(labels)):
+            fits = budget - (len(labels) - 1 - j) % 2
+            if not comps[j + 1] or comps[j + 1][0][0] > fits:
+                continue
+            for others in itertools.combinations(labels[1:], j):
+                block = labels[:1] + others
+                left = tuple(x for x in labels[1:] if x not in others)
+                for i, (v, code, pairs) in enumerate(comps[j + 1]):
+                    if v > fits:
+                        break
+                    if (block, i) not in on_block:
+                        on_block[block, i] = (v, ("edge",) + block if v == 0 else code[:1] + tuple(
+                            x if x >= 0 else -block[-x - 1] for x in code[1:]), pairs, block)
+                    for rest in classes(left, budget - v, 0):
+                        yield (on_block[block, i],) + rest
 
     found = {}
     for parts in classes(tuple(range(1, k + 1)), max_vertices, 0):
         if parts:
             if len(found) == MAX_CLASSES:
                 raise TooLarge(f"more than {MAX_CLASSES} diagrams to enumerate")
-            found[repr((tuple(sorted(c[1] for c in parts)), 0)).encode()] = parts
+            found[_pack(tuple(sorted(c[1] for c in parts)))] = parts
     return DiagramCorpus.by_code(k, {code: _build(k, parts, code)
                                      for code, parts in found.items()})
 
@@ -159,10 +188,15 @@ def _build(k, parts, code):
             a, b = (off + y if y >= 0 else base + block[-y - 1] - 1 for y in pair)
             partner[a], partner[b] = b, a
         off += 3 * v
-    d = FixedDiagram._raw(tuple((x, x + 1, x + 2) for x in range(0, base, 3)),
-                          tuple(range(base, base + k)), tuple(partner), 0)
+    d = _slots_diagram(base // 3, k, partner)
     d._code = code
     return d
+
+
+def _slots_diagram(v, k, partner):
+    """The diagram on slots [0, 3v+k): vertex triples first, then the legs."""
+    return FixedDiagram._raw(tuple((x, x + 1, x + 2) for x in range(0, 3 * v, 3)),
+                             tuple(range(3 * v, 3 * v + k)), tuple(partner), 0)
 
 
 def _matchings(labels):
@@ -218,7 +252,6 @@ def random_diagram_corpus(k: int, count: int, max_vertices: int, seed: int,
             a, b = slots[i], slots[i + 1]
             partner[a] = b
             partner[b] = a
-        d = FixedDiagram._raw(tuple((x, x + 1, x + 2) for x in range(0, 3 * v, 3)),
-                              tuple(range(3 * v, m)), tuple(partner), 0)
+        d = _slots_diagram(v, k, partner)
         found.setdefault(canonical_form(d), d)
     return DiagramCorpus.by_code(k, found)

@@ -32,7 +32,7 @@ from .diagrams import (
     _component_items,
     _extract_component,
     _leg_label_map,
-    _pack_single,
+    _pack,
     glue,
     require_no_legs,
 )
@@ -261,7 +261,7 @@ class TableBacked:
         require_no_legs(g)
         val = algebras.one(self.backend)
         for code, darts in _component_items(g):
-            key = _pack_single(code)
+            key = _pack((code,))
             v = self.table.get(key)
             val = val * (self._missing(g, darts, key) if v is None else v)
         if g.loop_count:

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from time import perf_counter
 
 import pytest
 
@@ -220,6 +221,21 @@ class TestRank:
                              "--max-vertices", "0")
         assert code == 2 and not out and "no rank bound applies" in err
         assert "Traceback" not in err
+
+    def test_many_legs_exit_2_quickly(self, capsys):
+        t0 = perf_counter()
+        code, out, err = run(capsys, "rank", "--weights", "so3", "--legs", "12",
+                             "--max-vertices", "6")
+        assert code == 2 and not out and "more than 100000" in err
+        assert "Traceback" not in err and perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("legs", ["0", "1"])
+    def test_huge_vertex_budget_exits_2(self, capsys, tmp_path, monkeypatch, legs):
+        monkeypatch.setattr("trivalent.enumeration.MAX_CLASSES", 2000)
+        code, out, err = run(capsys, "enum", "--legs", legs, "--max-vertices", "100000",
+                             "--out", str(tmp_path / "corpus"))
+        assert code == 2 and not out and "more than 2000" in err
+        assert "Traceback" not in err and not (tmp_path / "corpus").exists()
 
     def test_max_corpus_caps(self, capsys):
         code, out, _ = run(capsys, "rank", "--weights", "so3", "--legs", "2",

@@ -71,9 +71,7 @@ def walk_codes(k, v):
     the matching walk: code every rotation-pruned matching, keep distinct."""
     if v == 0 and k == 0:
         return frozenset()
-    vertices = tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(v))
-    legs = tuple(range(3 * v, 3 * v + k))
-    return frozenset(canonical_form(FixedDiagram._raw(vertices, legs, partner, 0))
+    return frozenset(canonical_form(enumeration._slots_diagram(v, k, partner))
                      for partner in _matchings_rotation_pruned(v, k))
 
 
@@ -174,6 +172,34 @@ class TestEnumerateDiagrams:
         with pytest.raises(TooLarge):
             enumerate_fixed_diagrams(4, 8)
         assert perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("k, v", [(16, 0), (15, 1), (2000, 0)])
+    def test_many_legs_raise_quickly(self, k, v):
+        # bare edges alone give more than 15!! and 13!! classes; (12, 6),
+        # whose components have at most 8 legs, is a test_cli case
+        t0 = perf_counter()
+        with pytest.raises(TooLarge):
+            enumerate_fixed_diagrams(k, v)
+        assert perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("k", [13, 15, 2001])
+    def test_odd_legs_without_vertices_are_empty_at_once(self, k):
+        t0 = perf_counter()
+        assert len(enumerate_fixed_diagrams(k, 0)) == 0
+        assert perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("legs, budget", [(7, 4), (5, 2), (4, 1), (3, 0)])
+    def test_no_component_has_more_legs_than_vertices_plus_two(self, legs, budget):
+        assert enumeration._components(legs, budget, 0) == []
+        assert enumeration._components(legs, budget + 1, 10 ** 5)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_deep_vertex_budget_stops_at_the_cap(self, monkeypatch, k):
+        # components come by vertex count, so the cap stops the search
+        # long before the budget, and well within the recursion limit
+        monkeypatch.setattr(enumeration, "MAX_CLASSES", 2000)
+        with pytest.raises(TooLarge, match="more than 2000"):
+            enumerate_fixed_diagrams(k, 5000)
 
 
 class TestEnumerateMatchings:
