@@ -413,6 +413,23 @@ def _bfs_code(root, rho, partner, lab):
     return tuple(seq)
 
 
+def _rival_below(code, root, rho, partner):
+    """True iff a closed map read from `root` as `_bfs_code` reads it is below
+    `code`; it stops where they differ, at the end of `code` or at an unpaired (None) dart."""
+    num, order, j = {root: 0}, [root], 0
+    for x in order:
+        if j == len(code) or partner[x] is None:
+            return False
+        for y in (rho[x], partner[x]):
+            n = num.setdefault(y, len(order))
+            if n == len(order):
+                order.append(y)
+            if n != code[j]:
+                return n < code[j]
+            j += 1
+    return False
+
+
 def _component_code(darts, rho, partner, lab):
     leg_labels = sorted(lab[x] for x in darts if lab[x])
     vertex_darts = [x for x in darts if not lab[x]]
@@ -422,7 +439,11 @@ def _component_code(darts, rho, partner, lab):
     if leg_labels:
         anchor = next(x for x in darts if lab[x] == leg_labels[0])
         return ("map",) + _bfs_code(partner[anchor], rho, partner, lab)
-    return ("map",) + min(_bfs_code(r, rho, partner, lab) for r in vertex_darts)
+    code = _bfs_code(vertex_darts[0], rho, partner, lab)
+    for r in vertex_darts[1:]:
+        if _rival_below(code, r, rho, partner):
+            code = _bfs_code(r, rho, partner, lab)
+    return ("map",) + code
 
 
 def _component_items(d):
@@ -616,6 +637,8 @@ def to_json_dict(d: FixedDiagram) -> dict:
 
 
 def from_json_dict(obj) -> FixedDiagram:
+    if not isinstance(obj.get("legs_map", {}), dict):
+        raise TypeError(f"legs_map is not a JSON object: {obj['legs_map']!r}")
     legs = {int(lab): h for lab, h in obj.get("legs_map", {}).items()}
     d = FixedDiagram(vertices=obj.get("vertices", ()),
                      legs=legs,

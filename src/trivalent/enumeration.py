@@ -6,13 +6,13 @@ rooted component is built once, dart by dart in the order its code reads
 them: a dart unpaired at its turn joins an unused leg, an unpaired dart
 of a vertex already reached, or one fresh vertex.  Legged components are
 rooted at their smallest leg's partner, closed ones at dart 0 and kept
-only if no other root gives a smaller code (orderly generation: Read
-1978; McKay 1998).  A diagram is one legged component per block of a set
-partition of the legs (a 2-block may be a bare edge) plus closed ones,
-within the vertex budget.  Components come by vertex count, and every
-branch taken ends in a component or class; these count against
-`MAX_CLASSES` before any diagram is built, so a large budget stops at a
-small vertex count, and no code is recomputed.
+only if no other root reads smaller by `diagrams._rival_below`, as in
+canonical codes (orderly generation: Read 1978; McKay 1998).  A diagram
+is one legged component per block of a set partition of the legs (a
+2-block may be a bare edge) plus closed ones, within the vertex budget.
+Components come by vertex count; every branch taken ends in a component
+or class, counted against `MAX_CLASSES` before any diagram is built, so
+a large budget stops at a small vertex count and no code is recomputed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .diagrams import (
     DiagramCorpus,
     FixedDiagram,
     _pack,
+    _rival_below,
     canonical_form,
     glue,
     tri_star,
@@ -39,30 +40,6 @@ def double_factorial(m: int) -> int:
     return math.prod(range(m, 1, -2))
 
 
-def _least_root(code, partner):
-    """True unless another root of a closed component, complete or not, gives
-    a smaller code; a rival traversal stops where it first differs from
-    `code`, passes its end or meets a dart not yet paired."""
-    for root in range(1, len(partner)):
-        num = [-1] * len(partner)
-        num[root] = 0
-        order = [root]
-        for i, x in enumerate(order):
-            if 2 * i == len(code) or partner[x] is None:
-                break
-            r, p = x + 1 if x % 3 < 2 else x - 2, partner[x]
-            for y in (r, p):
-                if num[y] < 0:
-                    num[y] = len(order)
-                    order.append(y)
-            pair, best = [num[r], num[p]], code[2 * i:2 * i + 2]
-            if pair != best:
-                if pair < best:
-                    return False
-                break
-    return True
-
-
 def _components(legs, budget, room):
     """Connected components on legs 1..`legs` with 1..`budget` vertices, each
     once and by vertex count, as (vertices, code, (dart, partner) pairs);
@@ -72,6 +49,7 @@ def _components(legs, budget, room):
     if budget < 1:
         return out
     partner = [None] * (3 * budget + legs)
+    rho = [x + 1 if x % 3 < 2 else x - 2 for x in range(3 * budget)]
     num = [-1] * (3 * budget)
     if legs:
         partner[0], partner[-1] = -1, 0  # the root is the partner of leg 1
@@ -86,13 +64,13 @@ def _components(legs, budget, room):
         >= left - (size - nv) and a dart stays free until the end.  A closed
         component adds no vertex once a root reached beats its code so far."""
         if i == len(order):
-            if legs or _least_root(seq, partner[:3 * nv]):
+            if legs or not any(_rival_below(seq, y, rho, partner) for y in range(1, 3 * nv)):
                 if len(out) == room:
                     raise TooLarge(f"more than {MAX_CLASSES} components to enumerate")
                 out.append((nv, ("map",) + tuple(seq), tuple(enumerate(partner[:3 * nv]))))
             return
         x = order[i]
-        r, p = x + 1 if x % 3 < 2 else x - 2, partner[x]
+        r, p = rho[x], partner[x]
         for t, f, u in [(p, free, left)] if p is not None else [
                 (y, free - 2 + (y < 0) + 3 * (y == 3 * nv), left - (y < 0))
                 for y in range(-legs, min(3 * nv + 1, 3 * size))
@@ -100,7 +78,8 @@ def _components(legs, budget, room):
             m = size - nv - (t == 3 * nv)
             if f < u - m or not (f or u == m == 0):
                 continue
-            if not legs and t == 3 * nv and not _least_root(seq, partner[:3 * nv]):
+            if not legs and t == 3 * nv and any(
+                    _rival_below(seq, y, rho, partner) for y in range(1, 3 * nv)):
                 continue
             partner[x], partner[t] = t, x
             n = len(order)

@@ -36,7 +36,7 @@ from .diagrams import (
     glue,
     require_no_legs,
 )
-from .errors import DanglingAxes, LegCountMismatch, TableMiss, TooLarge
+from .errors import BackendMismatch, DanglingAxes, LegCountMismatch, TableMiss, TooLarge
 
 #: no intermediate of more entries is allocated; over it, `TooLarge`
 MAX_ENTRIES = 2 ** 24
@@ -250,6 +250,8 @@ class TableBacked:
     """
 
     def __init__(self, loop_value, table, backend=RATIONAL):
+        if backend not in (RATIONAL, algebras.COMPLEX):
+            raise BackendMismatch(f"unknown backend {backend!r}")
         self.backend = backend
         self.loop_value = algebras.as_scalar(loop_value, backend)
         self.table = {key: algebras.as_scalar(v, backend) for key, v in table.items()}

@@ -59,13 +59,14 @@ class TestEval:
             assert code == 2 and not out and err.startswith(f"error: {p}: ")
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("text", ["[1]", "3", "null", '"theta"'])
+    @pytest.mark.parametrize("text", ["[1]", "3", "null", '"theta"', '{"legs_map": [1]}'])
     def test_graph_file_not_an_object_is_usage_error(self, capsys, tmp_path, text):
         p = tmp_path / "arr.json"
         p.write_text(text)
-        code, out, err = run(capsys, "eval", "--algebra", "so3", "--graph", str(p))
-        assert code == 2 and not out and err.startswith(f"error: {p}: ")
-        assert "Traceback" not in err
+        for argv in (["eval", "--algebra", "so3"], ["canon"]):
+            code, out, err = run(capsys, *argv, "--graph", str(p))
+            assert code == 2 and not out and err.startswith(f"error: {p}: ")
+            assert "Traceback" not in err
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(c, g):
@@ -221,6 +222,19 @@ class TestRank:
                              "--max-vertices", "0")
         assert code == 2 and not out and "no rank bound applies" in err
         assert "Traceback" not in err
+
+    def test_unknown_backend_is_usage_error(self, capsys, tmp_path):
+        # refused before an entry is read (delta) or missed (rank, empty table)
+        p = tmp_path / "weird.json"
+        entry = {"code": canonical_form(theta()).hex(), "value": 6}
+        for entries, argv in (([entry], ["delta", "--algebra", str(p), "--k", "1",
+                                         "--h", "builtin:pid", "--json"]),
+                              ([], ["rank", "--weights", str(p), "--legs", "0",
+                                    "--max-vertices", "2"])):
+            p.write_text(json.dumps({"backend": "weird", "loop_value": 3, "entries": entries}))
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out and "unknown backend 'weird'" in err
+            assert "Traceback" not in err
 
     def test_many_legs_exit_2_quickly(self, capsys):
         t0 = perf_counter()

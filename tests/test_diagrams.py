@@ -28,6 +28,15 @@ from trivalent import (
     validate,
     vertexless_loop,
 )
+from trivalent.diagrams import (
+    _bfs_code,
+    _component_code,
+    _components_darts,
+    _leg_label_map,
+    _pack,
+    _rho_map,
+    _rival_below,
+)
 from trivalent.errors import (
     BadIndex,
     BadLegRange,
@@ -276,6 +285,88 @@ class TestCanonicalForm:
             shuffled = FixedDiagram(vertices=verts, legs=legs, edges=edges,
                                     loop_count=d.loop_count)
             assert canonical_form(shuffled) == canonical_form(d)
+
+
+def all_roots_form(d):
+    """canonical_form as it was before the early-exit rival traversal: a
+    closed component's code is the least of one full traversal per dart."""
+    rho, lab = _rho_map(d), _leg_label_map(d)
+    codes = []
+    for darts in _components_darts(d):
+        if any(lab[x] for x in darts):
+            codes.append(_component_code(darts, rho, d.partner, lab))
+        else:
+            codes.append(("map",) + min(_bfs_code(r, rho, d.partner, lab) for r in darts))
+    return _pack(tuple(sorted(codes)), d.loop_count)
+
+
+def renumbered(d, rng):
+    """The same diagram with its darts renumbered at random."""
+    new = list(range(d.num_darts))
+    rng.shuffle(new)
+    partner = [0] * d.num_darts
+    for x, y in enumerate(d.partner):
+        partner[new[x]] = new[y]
+    vertices = tuple(tuple(new[x] for x in tri) for tri in d.vertices)
+    return FixedDiagram._raw(vertices, tuple(new[x] for x in d.legs), tuple(partner),
+                             d.loop_count)
+
+
+def dumbbell():
+    """Two vertices with a loop edge each, joined by an edge."""
+    return FixedDiagram._raw(((0, 1, 2), (3, 4, 5)), (), (3, 2, 1, 0, 5, 4), 0)
+
+
+class TestLeastRoot:
+    """`_rival_below` decides a closed component's least root; the all-roots
+    minimum above is its oracle."""
+
+    def test_closed_classes_under_renumbering(self):
+        import random
+
+        rng = random.Random(15)
+        moved = 0  # components whose least root is not their first dart
+        for d in enumerate_fixed_diagrams(0, 8):
+            e = renumbered(d, rng)
+            assert canonical_form(e) == all_roots_form(e) == canonical_form(d)
+            rho, lab = _rho_map(e), [0] * e.num_darts
+            moved += sum(_component_code(c, rho, e.partner, lab)[1:]
+                         != _bfs_code(c[0], rho, e.partner, lab) for c in _components_darts(e))
+        assert moved > 1000
+
+    def test_glued_pairs(self):
+        from trivalent import random_diagram_corpus
+
+        corpus = list(random_diagram_corpus(2, 120, 6, seed=5))[::3]
+        for a in corpus:
+            for b in corpus:
+                g = glue(a, b)
+                assert canonical_form(g) == all_roots_form(g)
+
+    @pytest.mark.parametrize("make", [
+        theta, k4, dumbbell, vertexless_loop, empty_diagram,
+        lambda: tripod(1, 3, 2), lambda: disjoint_union(dumbbell(), k4()),
+        lambda: disjoint_union(flip_vertex(k4(), 2), vertexless_loop()),
+        # a tadpole: one leg on a vertex with a loop edge
+        lambda: FixedDiagram._raw(((0, 1, 2),), (3,), (3, 2, 1, 0), 0)])
+    def test_small_maps(self, make):
+        d = make()
+        assert canonical_form(d) == all_roots_form(d)
+
+    def test_rival_stops_where_it_differs(self):
+        rho, partner = _rho_map(dumbbell()), dumbbell().partner
+        code = _bfs_code(0, rho, partner, [0] * 6)  # reads (1, 2) first
+        assert _rival_below(code, 1, rho, partner)  # reads (1, 1) first
+        assert not _rival_below(code, 0, rho, partner)
+        assert not _rival_below(code[:0], 1, rho, partner)
+
+    def test_rival_stops_at_unpaired_dart(self):
+        # theta's map looks the same from every root, so no rival reads below
+        # its code; with darts 1, 2, 4 and 5 unpaired the rival from 3 stops at 4
+        rho, full = _rho_map(theta()), theta().partner
+        code = _bfs_code(0, rho, full, [0] * 6)
+        assert not any(_rival_below(code, r, rho, full) for r in range(6))
+        assert not _rival_below(code, 3, rho, [3, None, None, 0, None, None])
 
 
 class TestPinnedCodes:
