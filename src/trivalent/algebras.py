@@ -3,18 +3,19 @@
 Two backends: exact rationals and double-precision complex.  A rational
 array is an object array whose entries are Python `int`s where the value
 is integral and `fractions.Fraction`s otherwise (`_array` is the one place
-that form is chosen), so the integer generators contract in Python-int
-arithmetic, which cannot overflow.  Every exact scalar handed to a caller
-is a `Fraction` (`as_scalar`).  The rational backend exists because the
-so(n) family has integer structure constants in a suitable basis, which
-makes rank and relation tests exact; Killing-normalized algebras force
-complex floats through the square roots in orthonormalization.
+that form is chosen); a tensor contracts as D*c, D the lcm of its
+denominators, in Python ints, which cannot overflow.  Every exact scalar
+handed to a caller is a `Fraction` (`as_scalar`).  The rational backend
+exists because so(n) has integer structure constants in a suitable basis,
+which makes rank and relation tests exact; Killing-normalized algebras
+force complex floats through the square roots in orthonormalization.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -89,9 +90,10 @@ class StructureTensor:
 
     `lie=True` records that the tensor claims full antisymmetry and the
     quadratic (Jacobi) relations; the checks below verify the claim.
+    `scaled` is (D, D*entries), D the lcm of the denominators (1 if complex).
     """
 
-    __slots__ = ("dim", "backend", "entries", "lie")
+    __slots__ = ("dim", "backend", "entries", "lie", "scaled")
 
     def __init__(self, dim, entries, backend, lie=False, check=True):
         self.dim = int(dim)
@@ -101,6 +103,10 @@ class StructureTensor:
         self.entries = _array(entries, backend)
         if self.entries.shape != (dim, dim, dim):
             raise ValueError(f"entries shape {self.entries.shape} != {(dim,) * 3}")
+        den = math.lcm(*(x.denominator for x in self.entries.flat)) if backend == RATIONAL else 1
+        self.scaled = (den, self.entries if den == 1 else np.array(
+            [x.numerator * (den // x.denominator) for x in self.entries.flat],
+            dtype=object).reshape(self.entries.shape))
         self.lie = bool(lie)
         if check and dim > 0:
             r = cyclic_check(self)

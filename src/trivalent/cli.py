@@ -70,7 +70,7 @@ def _load_json(path, parse):
         if not isinstance(obj, dict):
             raise TypeError(f"expected a JSON object, not {type(obj).__name__}")
         return parse(obj)
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:  # bad JSON: ValueError
         raise TrivalentError(f"{path}: {exc!r}") from exc
 
 

@@ -7,12 +7,12 @@ open variant on a k-legged diagram keeps the leg edges uncolored and
 returns the rank-k tensor indexed in leg-label order.
 
 Evaluation contracts the diagram as a tensor network.  `plan` reads its
-shape alone and merges node pairs greedily, fewest open indices first;
-when that order would cost many multiplies, random tie-breaks are tried
-too.  `execute` runs a plan with `tensordot` after refusing one whose peak
-intermediate exceeds MAX_ENTRIES.  `open_brute_force` is the literal
-coloring sum (`brute_force_oracle` its closed value), kept independent of
-the planner so the two check each other.
+shape alone and merges node pairs greedily, fewest open indices first,
+trying random tie-breaks too when that order would cost many multiplies.
+`execute` runs a plan with `tensordot` on the integer form D*c (a value on
+V vertices is D**V times c's) unless its peak intermediate exceeds
+MAX_ENTRIES.  The literal coloring sum `open_brute_force` (closed value:
+`brute_force_oracle`) stays apart from the planner so each checks the other.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -173,13 +174,13 @@ def _plan_for(g: FixedDiagram, dim):
 
 
 def execute(c: StructureTensor, p: Plan):
-    """Run plan `p` on `c`, or raise `TooLarge` before allocating anything
-    when an intermediate would exceed MAX_ENTRIES."""
+    """Run plan `p` on `c.scaled`, D*c, or raise `TooLarge` before allocating
+    anything when an intermediate would exceed MAX_ENTRIES."""
     if c.dim ** p.peak > MAX_ENTRIES:
         raise TooLarge(f"contraction needs {c.dim}^{p.peak} = {c.dim ** p.peak} "
                        f"entries in one intermediate, over the limit of {MAX_ENTRIES}")
-    vals = [c.entries if t is None else np.trace(c.entries, axis1=t[0], axis2=t[1])
-            for t in p.traces]
+    ent = c.scaled[1]
+    vals = [ent if t is None else np.trace(ent, axis1=t[0], axis2=t[1]) for t in p.traces]
     vals += [algebras.eye_array(c.dim, c.backend) for _ in range(p.eyes)]
     for i, j, pos_i, pos_j in p.steps:
         vals.append(np.tensordot(vals[i], vals[j], axes=(pos_i, pos_j)))
@@ -193,7 +194,8 @@ def partition_function(c: StructureTensor, g: FixedDiagram, plan=None):
     val = execute(c, _plan_for(g, c.dim) if plan is None else plan)[()]
     if g.loop_count:
         val = val * c.dim ** g.loop_count
-    return algebras.as_scalar(val, c.backend)
+    val = algebras.as_scalar(val, c.backend)
+    return val if c.scaled[0] == 1 else val / c.scaled[0] ** g.num_vertices
 
 
 def open_partition_function(c: StructureTensor, g: FixedDiagram,
@@ -203,6 +205,8 @@ def open_partition_function(c: StructureTensor, g: FixedDiagram,
     tensor = np.transpose(execute(c, p), p.perm)
     if g.loop_count:
         tensor = tensor * (c.dim ** g.loop_count)
+    if c.scaled[0] != 1:
+        tensor = tensor * Fraction(1, c.scaled[0] ** g.num_vertices)
     return DenseTensor(c.dim, g.num_legs, tensor, c.backend)
 
 

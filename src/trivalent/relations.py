@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,10 +151,17 @@ def delta_check(f, k: int, hs, tol=0, seed=None):
 
 @dataclass
 class ConnectionMatrix:
+    """The matrix is `values` over one denominator `den`, Python ints when exact."""
+
     legs: int
     corpus: DiagramCorpus
-    entries: list
     backend: str
+    values: list
+    den: int
+
+    @property
+    def entries(self):
+        return [[algebras.as_scalar(v, self.backend) / self.den for v in row] for row in self.values]
 
 
 def connection_matrix(f, corpus: DiagramCorpus) -> ConnectionMatrix:
@@ -169,37 +175,34 @@ def connection_matrix(f, corpus: DiagramCorpus) -> ConnectionMatrix:
     if items and isinstance(f, TensorBacked) and (
             len(items) * f.tensor.dim ** corpus.legs <= evaluation.MAX_ENTRIES):
         try:
-            return ConnectionMatrix(corpus.legs, corpus, _gram(f.tensor, items), f.backend)
+            return ConnectionMatrix(corpus.legs, corpus, f.backend, *_gram(f.tensor, items))
         except TooLarge:  # a row's contraction is over the limit: glue instead
             pass
-    entries = [[None] * len(items) for _ in items]
+    values, den = [[None] * len(items) for _ in items], 1
     for i, g in enumerate(items):
         for j in range(i, len(items)):  # glue(g, h) and glue(h, g) are one diagram
-            entries[i][j] = entries[j][i] = f.evaluate(glue(g, items[j]))
-    return ConnectionMatrix(corpus.legs, corpus, entries, f.backend)
+            values[i][j] = values[j][i] = f.evaluate(glue(g, items[j]))
+    if f.backend == RATIONAL:
+        den = math.lcm(*(x.denominator for row in values for x in row))
+        values = [[x.numerator * (den // x.denominator) for x in row] for row in values]
+    return ConnectionMatrix(corpus.legs, corpus, f.backend, values, den)
 
 
 def _gram(c: StructureTensor, items):
-    """A A^T with rows of A the flattened open evaluations: rational ones
-    exactly, as Python integers over one common denominator."""
-    rows = [open_partition_function(c, g).entries.reshape(-1) for g in items]
-    if c.backend != RATIONAL:
-        a = np.array(rows, dtype=complex)
-        return (a @ a.T).tolist()
-    flat = [x for row in rows for x in row]
-    den = math.lcm(*(x.denominator for x in flat))
-    a = np.array([x.numerator * (den // x.denominator) for x in flat],
-                 dtype=object).reshape(len(rows), -1)
-    return [[Fraction(v, den * den) for v in row] for row in a.dot(a.T).tolist()]
+    """(A A^T, its denominator), rows of A the open evaluations of D*c: exact
+    ones are ints over D**V on V vertices, scaled to D**Vmax."""
+    den, ent = c.scaled
+    dc = c if den == 1 else StructureTensor(c.dim, ent, RATIONAL, check=False)
+    vmax = max(g.num_vertices for g in items)
+    a = np.array([open_partition_function(dc, g).entries.reshape(-1)
+                  * den ** (vmax - g.num_vertices) for g in items],
+                 dtype=algebras._dtype(c.backend))
+    return a.dot(a.T).tolist(), den ** (2 * vmax)
 
 
 def _rank_fraction_free(rows):
-    """Rank by fraction-free (Bareiss) elimination; exact on rationals."""
-    mat = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in fr))
-        mat.append([int(x * den) for x in fr])
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination: exact."""
+    mat = [list(row) for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     r = 0
@@ -215,7 +218,6 @@ def _rank_fraction_free(rows):
             row_i, row_r = mat[i], mat[r]
             for j in range(col + 1, ncols):
                 row_i[j] = (row_i[j] * p - mic * row_r[j]) // prev
-            row_i[col] = 0
         prev = p
         r += 1
         if r == nrows:
@@ -234,11 +236,9 @@ def _rank_svd(rows):
 
 
 def rank(m: ConnectionMatrix) -> int:
-    if not m.entries:
-        return 0
     if m.backend == RATIONAL:
-        return _rank_fraction_free(m.entries)
-    return _rank_svd(m.entries)
+        return _rank_fraction_free(m.values)
+    return _rank_svd(m.values)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,23 @@ class TestEval:
             assert code == 2 and not out and err.startswith(f"error: {p}: ")
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,text", [
+        (["canon", "--graph"], '{"loop_count": 1e400}'),
+        (["rank", "--legs", "0", "--max-vertices", "0", "--weights"],
+         '{"backend": "rational", "loop_value": 1e400, "entries": []}'),
+        (["eval", "--graph", "builtin:theta", "--algebra"],
+         '{"dim": 1, "backend": "rational", "entries": [[0, 0, 0, 1, 0]]}'),
+        (["rank", "--legs", "0", "--max-vertices", "0", "--weights"],
+         '{"backend": "rational", "loop_value": [3, 0], "entries": []}'),
+    ], ids=["graph_1e400", "table_1e400", "tensor_zero_denominator", "table_zero_denominator"])
+    def test_numbers_that_overflow_or_divide_by_zero_are_usage_errors(self, capsys, tmp_path,
+                                                                      argv, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        code, out, err = run(capsys, *argv, str(p))
+        assert code == 2 and not out and err.startswith(f"error: {p}: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("text", ["[1]", "3", "null", '"theta"', '{"legs_map": [1]}'])
     def test_graph_file_not_an_object_is_usage_error(self, capsys, tmp_path, text):
         p = tmp_path / "arr.json"

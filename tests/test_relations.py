@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from trivalent import (
     TensorBacked,
     abelian,
     as_residual,
+    brute_force_oracle,
     canonical_form,
     components,
     connected_sum_multiplicativity_check,
@@ -25,6 +27,9 @@ from trivalent import (
     jacobi_check,
     k4,
     normalized,
+    open_brute_force,
+    open_partition_function,
+    partition_function,
     permutation_diagram,
     permutation_sign,
     random_diagram_corpus,
@@ -36,6 +41,7 @@ from trivalent import (
     so_n_rational,
     theta,
     tri_star,
+    tripod,
     vertexless_loop,
 )
 from trivalent import evaluation, relations
@@ -409,13 +415,139 @@ class TestFactoredConnectionMatrix:
         assert cm.entries == [] and rank(cm) == 0
 
 
+def _half_integral(n, seed):
+    """Seeded cyclic-invariant tensor with entries in (1/2)Z, some not integral."""
+    c = random_structure_tensor(n, seed)
+    return StructureTensor(n, c.entries * Fraction(1, 2), "rational", check=False)
+
+
+class TestScaledContraction:
+    """Rational tensors contract as D*c in Python ints, values over D**V."""
+
+    @pytest.mark.parametrize("make", [lambda: _half_integral(3, 4),
+                                      lambda: _cyclic_with_denominators(3, 7)],
+                             ids=["half_integral", "cyclic_denominators"])
+    @pytest.mark.parametrize("legs,max_vertices", [(0, 4), (1, 3), (2, 3), (3, 3)])
+    def test_open_values_equal_the_oracle(self, make, legs, max_vertices):
+        c = make()
+        assert c.scaled[0] > 1 and all(type(x) is int for x in c.scaled[1].flat)
+        for g in enumerate_fixed_diagrams(legs, max_vertices):
+            got = open_partition_function(c, g)
+            assert (got.entries == open_brute_force(c, g).entries).all()
+            assert all(type(x) is Fraction for x in got.entries.flat)
+            if not legs:
+                value = partition_function(c, g)
+                assert type(value) is Fraction and value == brute_force_oracle(c, g)
+
+    def test_integral_tensor_contracts_its_entries(self):
+        c = so_n_rational(4)
+        assert c.scaled == (1, c.entries) and c.scaled[1] is c.entries
+
+    def test_rebuilt_tensors_keep_their_own_scale(self):
+        # tensors made and freed in turn may reuse one another's id(); each
+        # must contract with its own D, never with a dropped tensor's
+        for seed in range(30):
+            c = (_cyclic_with_denominators(3, seed) if seed % 3 else
+                 random_structure_tensor(3, seed))
+            for g in (theta(), k4(), flip_vertex(k4(), 1)):
+                assert partition_function(c, g) == brute_force_oracle(c, g)
+            got = open_partition_function(c, tripod(1, 2, 3)).entries
+            assert (got == open_brute_force(c, tripod(1, 2, 3)).entries).all()
+            del c
+
+
+def _rank_by_fraction_rows(rows):
+    """Bareiss rank of rational rows, each row brought to integers with a fresh
+    `Fraction` per entry and its own lcm: the kernel the integer rank replaced."""
+    mat = []
+    for row in rows:
+        fr = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in fr))
+        mat.append([int(x * den) for x in fr])
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        p = mat[r][col]
+        for i in range(r + 1, nrows):
+            mic = mat[i][col]
+            row_i, row_r = mat[i], mat[r]
+            for j in range(col + 1, ncols):
+                row_i[j] = (row_i[j] * p - mic * row_r[j]) // prev
+            row_i[col] = 0
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+class TestIntegerConnectionMatrix:
+    """One integer matrix over one denominator, ranked without Fractions."""
+
+    @pytest.mark.parametrize("make", [so3_eps, lambda: _half_integral(3, 2),
+                                      lambda: _cyclic_with_denominators(3, 5)],
+                             ids=["so3_eps", "half_integral", "cyclic_denominators"])
+    @pytest.mark.parametrize("legs,seed", [(0, 1), (1, 2), (2, 3), (3, 4)])
+    def test_random_corpus_rank_against_fraction_rows(self, make, legs, seed):
+        f = TensorBacked(make())
+        corpus = random_diagram_corpus(legs, 30, 5, seed=seed)
+        cm = connection_matrix(f, corpus)
+        assert all(type(v) is int for row in cm.values for v in row)
+        glued = _glued_matrix(f, corpus)
+        assert cm.entries == glued and rank(cm) == _rank_by_fraction_rows(glued)
+
+    def test_one_denominator(self):
+        corpus = _corpus(2, 3, None)
+        cm = connection_matrix(TensorBacked(_cyclic_with_denominators(3, 7)), corpus)
+        assert cm.den > 1 and cm.den % max(x.denominator for row in cm.entries for x in row) == 0
+        assert connection_matrix(TensorBacked(so3_eps()), corpus).den == 1
+
+    def test_table_backed_rank_above_one(self):
+        corpus = random_diagram_corpus(2, 40, 4, seed=8)
+        rng = random.Random(3)
+        table = {}
+        for g in corpus:
+            for h in corpus:
+                for comp in components(glue(g, h)):
+                    if comp.num_vertices:
+                        table.setdefault(canonical_form(comp),
+                                         Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+        f = TableBacked(Fraction(5, 2), table)
+        cm = connection_matrix(f, corpus)
+        assert all(type(v) is int for row in cm.values for v in row)
+        glued = _glued_matrix(f, corpus)
+        assert cm.entries == glued and rank(cm) > 1
+        assert rank(cm) == _rank_by_fraction_rows(glued)
+
+    def test_rank_leaves_the_matrix(self):
+        cm = connection_matrix(TensorBacked(_half_integral(3, 2)), _corpus(2, 3, None))
+        before = [list(row) for row in cm.values]
+        rank(cm)
+        assert cm.values == before
+
+
 class TestRankKernels:
     def test_fraction_free_small(self):
         assert _rank_fraction_free([[1, 2], [2, 4]]) == 1
         assert _rank_fraction_free([[1, 2], [3, 4]]) == 2
         assert _rank_fraction_free([[0, 0], [0, 0]]) == 0
-        assert _rank_fraction_free([[Fraction(1, 2), Fraction(1, 3)],
-                                    [Fraction(1, 4), Fraction(1, 6)]]) == 1
+        assert _rank_fraction_free([[6, 4], [3, 2]]) == 1  # [[1/2, 1/3], [1/4, 1/6]] * 12
+
+    def test_fraction_free_against_fraction_rows(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            m, n, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
+            left = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(m)]
+            right = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
+            rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                    if r else [0] * n for row in left]
+            assert _rank_fraction_free(rows) == _rank_by_fraction_rows(rows) <= r
 
     def test_svd_threshold(self):
         assert _rank_svd([[1, 0], [0, 1e-12]]) == 1
