@@ -58,6 +58,13 @@ def _exact(x):
     return num if den == 1 else Fraction(num, den)
 
 
+def _integer(x):
+    """int(x) for a JSON integer; a number with a fractional part is refused."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def _dtype(backend):
     return object if backend == RATIONAL else complex
 
@@ -173,10 +180,6 @@ def scale_tensor(c: StructureTensor, mu) -> StructureTensor:
 # metric Lie algebras on arbitrary bases
 # ---------------------------------------------------------------------------
 
-#: Gram-Schmidt runs: the standard basis, then seeded random basis changes
-RETRIES = 8
-
-
 class MetricLieAlgebra:
     """Bracket constants B[i][j][k] (meaning [u_i,u_j] = sum_k B[i][j][k] u_k)
     plus the Gram matrix of a nondegenerate invariant symmetric form."""
@@ -226,9 +229,11 @@ def orthonormalize(g: MetricLieAlgebra) -> StructureTensor:
     """Structure tensor on a computed orthonormal basis of the form.
 
     Non-conjugated bilinear Gram-Schmidt over the complex numbers with
-    principal-branch square roots; candidate vectors whose residual is
-    isotropic are skipped (pivoting), and if every remaining candidate is
-    isotropic the whole run restarts from a seeded random basis change.
+    principal-branch square roots, in one pass over the standard basis:
+    each step takes the first candidate whose residual is not isotropic.
+    If every residual left is isotropic, the form, nondegenerate on their
+    span, pairs two of them, r_i and r_j; r_i + r_j then has square norm
+    2 B(r_i, r_j) != 0 and is taken in place of r_i.
     """
     n = g.dim
     gram = np.asarray(g.gram, dtype=complex)
@@ -238,42 +243,30 @@ def orthonormalize(g: MetricLieAlgebra) -> StructureTensor:
         raise DegenerateForm("gram matrix is numerically singular")
     iso_tol = 1e-10 * scale
 
-    rng = np.random.default_rng(0x5EED)
-    for attempt in range(RETRIES):
-        if attempt == 0:
-            pool = [np.eye(n, dtype=complex)[i] for i in range(n)]
-        else:
-            mix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            pool = list(mix)
-        basis = []
-        failed = False
-        while len(basis) < n:
-            picked = None
-            for idx, w in enumerate(pool):
-                r = w.copy()
-                for b in basis:
-                    r = r - (w @ gram @ b) * b
-                nrm2 = r @ gram @ r
-                if abs(nrm2) > iso_tol:
-                    picked = (idx, r, nrm2)
-                    break
-            if picked is None:
-                failed = True
-                break
-            idx, r, nrm2 = picked
-            pool.pop(idx)
-            basis.append(r / cmath.sqrt(nrm2))
-        if failed:
-            continue
-        s = np.array(basis).reshape(n, n)  # (0, 0), not (0,), for the zero algebra
-        ent = np.einsum("ai,bj,ijm,ml,cl->abc", s, s, bracket, gram, s, optimize=True)
-        c = StructureTensor(n, ent, COMPLEX, lie=True, check=False)
-        bound = TOL * max(1.0, float(max_abs(c.entries)))
-        if cyclic_check(c) > bound or antisymmetry_check(c) > bound or \
-                jacobi_check(c) > TOL * max(1.0, float(max_abs(c.entries)) ** 2):
-            raise OrthonormalizationFailed("output tensor failed re-verification")
-        return c
-    raise OrthonormalizationFailed(f"no orthonormal basis found in {RETRIES} attempts")
+    res = np.eye(n, dtype=complex)  # residuals of the candidates not yet taken
+    basis = []
+    while len(res):
+        nrm2 = np.einsum("ij,jk,ik->i", res, gram, res)
+        i = int(np.argmax(np.abs(nrm2) > iso_tol))
+        if abs(nrm2[i]) <= iso_tol:
+            pairing = np.abs(res @ gram @ res.T)
+            i, j = np.unravel_index(np.argmax(pairing), pairing.shape)
+            if pairing[i, j] <= iso_tol:
+                raise OrthonormalizationFailed("the form vanishes on the residuals left")
+            res[i] += res[j]
+            nrm2[i] = res[i] @ gram @ res[i]
+        b = res[i] / cmath.sqrt(nrm2[i])
+        res = np.delete(res, i, axis=0)
+        res -= np.outer(res @ gram @ b, b)
+        basis.append(b)
+    s = np.array(basis).reshape(n, n)  # (0, 0), not (0,), for the zero algebra
+    ent = np.einsum("ai,bj,ijm,ml,cl->abc", s, s, bracket, gram, s, optimize=True)
+    c = StructureTensor(n, ent, COMPLEX, lie=True, check=False)
+    bound = TOL * max(1.0, float(max_abs(c.entries)))
+    if cyclic_check(c) > bound or antisymmetry_check(c) > bound or \
+            jacobi_check(c) > TOL * max(1.0, float(max_abs(c.entries)) ** 2):
+        raise OrthonormalizationFailed("output tensor failed re-verification")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +410,15 @@ def tensor_to_json_dict(c: StructureTensor) -> dict:
 
 
 def tensor_from_json_dict(obj) -> StructureTensor:
-    dim = int(obj["dim"])
+    dim = _integer(obj["dim"])
     backend = obj["backend"]
     ent = zeros_array((dim, dim, dim), backend)
     for i, j, k, a, b in obj["entries"]:
+        idx = tuple(map(_integer, (i, j, k)))
+        if not all(0 <= x < dim for x in idx):
+            raise ValueError(f"entry index {idx} outside 0..{dim - 1}")
         if backend == RATIONAL:
-            ent[i, j, k] = Fraction(int(a), int(b))
+            ent[idx] = Fraction(_integer(a), _integer(b))
         else:
-            ent[i, j, k] = complex(a, b)
+            ent[idx] = complex(a, b)
     return StructureTensor(dim, ent, backend, lie=bool(obj.get("lie", False)))

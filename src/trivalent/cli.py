@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import algebras, diagrams, enumeration, relations
-from .algebras import RATIONAL, StructureTensor
+from .algebras import RATIONAL, StructureTensor, _integer
 from .errors import TrivalentError
 from .evaluation import TableBacked, TensorBacked, partition_function
 
@@ -85,7 +85,9 @@ def _weights_from_json_dict(obj):
 
 def _parse_value(v, backend):
     if isinstance(v, list):
-        return Fraction(int(v[0]), int(v[1])) if backend == RATIONAL else complex(v[0], v[1])
+        if backend == RATIONAL:
+            return Fraction(_integer(v[0]), _integer(v[1]))
+        return complex(v[0], v[1])
     return Fraction(v) if backend == RATIONAL else complex(v)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebras import _integer
 from .errors import (
     BadIndex,
     BadLegRange,
@@ -36,19 +37,28 @@ from .errors import (
 
 
 class FixedDiagram:
-    __slots__ = ("vertices", "legs", "partner", "loop_count",
-                 "names", "_leg_labels", "_raw_edges", "_code")
+    __slots__ = ("vertices", "legs", "partner", "loop_count", "names", "_code")
 
     def __init__(self, vertices=(), legs=(), edges=(), loop_count=0, check=True):
         """Build a diagram from user-facing data.
 
         `vertices`: iterable of triples of half-edge ids.
-        `legs`: mapping {label: id} or a sequence (position i = label i+1).
+        `legs`: mapping {label: id} with labels 1..k, or a sequence
+        (position i = label i+1).
         `edges`: iterable of id pairs; together they must form a
         fixed-point-free involution covering every half-edge.
+        The edge list and leg labels are checked here, always; `check`
+        runs `validate` on the stored form.
         """
         if isinstance(legs, dict):
             leg_items = sorted(((int(l), h) for l, h in legs.items()), key=lambda t: t[0])
+            labels = [lab for lab, _ in leg_items]
+            for a, b in zip(labels, labels[1:]):
+                if a == b:
+                    raise DuplicateLegLabel(a)
+            for lab in labels:
+                if not 1 <= lab <= len(labels):
+                    raise BadLegRange(lab, len(labels))
         else:
             leg_items = [(i + 1, h) for i, h in enumerate(legs)]
         ids: list = []
@@ -61,24 +71,22 @@ class FixedDiagram:
                 ids.append(h)
             return j
 
-        vtx = tuple(tuple(intern(h) for h in tri) for tri in vertices)
-        leg_norm = tuple((lab, intern(h)) for lab, h in leg_items)
-        edge_norm = tuple((intern(a), intern(b)) for a, b in edges)
-
-        self.vertices = vtx
-        self.names = tuple(ids)
-        self._leg_labels = tuple(lab for lab, _ in leg_norm)
-        self.legs = tuple(d for _, d in leg_norm)
-        self._raw_edges = edge_norm
-        self.loop_count = int(loop_count)
-        self._code = None
-
-        # lenient pairing build; validate() reports conflicts properly
+        self.vertices = tuple(tuple(intern(h) for h in tri) for tri in vertices)
+        self.legs = tuple(intern(h) for _, h in leg_items)
+        edge_norm = [(intern(a), intern(b)) for a, b in edges]
         partner = [-1] * len(ids)
         for a, b in edge_norm:
-            partner[a] = b
-            partner[b] = a
+            if a == b:
+                raise PairingNotInvolution(ids[a], "paired with itself")
+            for x in (a, b):
+                if partner[x] >= 0:
+                    raise PairingNotInvolution(ids[x], "appears in two edges")
+            partner[a], partner[b] = b, a
+
+        self.names = tuple(ids)
         self.partner = tuple(partner)
+        self.loop_count = int(loop_count)
+        self._code = None
         if check:
             validate(self)
 
@@ -91,8 +99,6 @@ class FixedDiagram:
         d.partner = partner
         d.loop_count = loop_count
         d.names = None
-        d._leg_labels = tuple(range(1, len(legs) + 1))
-        d._raw_edges = None
         d._code = None
         return d
 
@@ -121,7 +127,9 @@ class FixedDiagram:
 
 
 def validate(d: FixedDiagram) -> None:
-    """Check all structural invariants; raises a typed error naming the offender."""
+    """Check the stored form: every dart in exactly one slot, `partner` a
+    fixed-point-free involution on all darts, no negative loop count.
+    Raises a typed error naming the offending dart, by its user id if any."""
     m = d.num_darts
     count = [0] * m
     for tri in d.vertices:
@@ -135,35 +143,11 @@ def validate(d: FixedDiagram) -> None:
         if count[x] != 1:
             raise DanglingHalfEdge(d._name(x))
 
-    seen = {}
-    if d._raw_edges is not None:
-        for a, b in d._raw_edges:
-            if a == b:
-                raise PairingNotInvolution(d._name(a), "paired with itself")
-            for x in (a, b):
-                if x in seen:
-                    raise PairingNotInvolution(d._name(x), "appears in two edges")
-                seen[x] = True
-    else:
-        for a, b in enumerate(d.partner):
-            if b == a:
-                raise PairingNotInvolution(d._name(a), "paired with itself")
-            if not (0 <= b < m) or d.partner[b] != a:
-                raise PairingNotInvolution(d._name(a), "not an involution")
-            seen[a] = True
-    for x in range(m):
-        if x not in seen:
-            raise PairingNotInvolution(d._name(x), "not covered by any edge")
-
-    k = len(d._leg_labels)
-    used = set()
-    for lab in d._leg_labels:
-        if lab in used:
-            raise DuplicateLegLabel(lab)
-        used.add(lab)
-    for lab in d._leg_labels:
-        if not 1 <= lab <= k:
-            raise BadLegRange(lab, k)
+    for a, b in enumerate(d.partner):
+        if b == -1:
+            raise PairingNotInvolution(d._name(a), "not covered by any edge")
+        if not (0 <= b < m and b != a and d.partner[b] == a):
+            raise PairingNotInvolution(d._name(a), "not a fixed-point-free involution")
     if d.loop_count < 0:
         raise InvalidDiagram("negative loop count")
 
@@ -258,24 +242,26 @@ def disjoint_union(g: FixedDiagram, h: FixedDiagram) -> FixedDiagram:
     return FixedDiagram._raw(vertices, legs, partner, g.loop_count + h.loop_count)
 
 
+def _slots_diagram(v, k, pairs):
+    """The diagram on slots [0, 3v+k) whose edges are the slot pairs `pairs`:
+    vertex i is slots 3i, 3i+1, 3i+2 in cyclic order, leg l is slot 3v+l-1."""
+    partner = [-1] * (3 * v + k)
+    for a, b in pairs:
+        partner[a], partner[b] = b, a
+    return FixedDiagram._raw(tuple([(x, x + 1, x + 2) for x in range(0, 3 * v, 3)]),
+                             tuple(range(3 * v, 3 * v + k)), tuple(partner), 0)
+
+
 def permutation_diagram(pi) -> FixedDiagram:
     """The 2k-legged diagram of k disjoint edges, edge i joining legs i and k+pi(i).
 
     `pi` is a sequence of the images pi(1), ..., pi(k) (1-based).
     """
-    pi = [int(x) for x in pi]
+    pi = list(map(int, pi))
     k = len(pi)
     if sorted(pi) != list(range(1, k + 1)):
         raise NotAPermutation(f"{pi} is not a permutation of 1..{k}")
-    partner = [0] * (2 * k)
-    legs = [0] * (2 * k)
-    for i in range(k):
-        a, b = i, k + i
-        partner[a] = b
-        partner[b] = a
-        legs[i] = a
-        legs[k + pi[i] - 1] = b
-    return FixedDiagram._raw((), tuple(legs), tuple(partner), 0)
+    return _slots_diagram(0, 2 * k, enumerate([k - 1 + p for p in pi]))
 
 
 def identity_pairing(k: int) -> FixedDiagram:
@@ -516,44 +502,23 @@ def tripod(a: int, b: int, c: int) -> FixedDiagram:
     """One vertex whose cyclic order visits legs a, b, c (a permutation of 1,2,3)."""
     if sorted((a, b, c)) != [1, 2, 3]:
         raise NotAPermutation(f"({a},{b},{c}) is not a permutation of 1,2,3")
-    partner = [0] * 6
-    for slot, lab in enumerate((a, b, c)):
-        partner[slot] = 2 + lab
-        partner[2 + lab] = slot
-    return FixedDiagram._raw(((0, 1, 2),), (3, 4, 5), tuple(partner), 0)
+    return _slots_diagram(1, 3, [(slot, 2 + lab) for slot, lab in enumerate((a, b, c))])
 
 
 def theta() -> FixedDiagram:
     """Two vertices joined by a triple edge, rotations (e1,e2,e3) and (e1,e3,e2)."""
-    # u darts 0,1,2 ; v darts 3,4,5 ; edges 0-3, 1-5, 2-4
-    partner = (3, 5, 4, 0, 2, 1)
-    return FixedDiagram._raw(((0, 1, 2), (3, 4, 5)), (), partner, 0)
+    return _slots_diagram(2, 0, ((0, 3), (1, 5), (2, 4)))
 
 
 def k4() -> FixedDiagram:
     """K4 with its planar rotation system."""
     # v1:(a12,a13,a14) v2:(a21,a24,a23) v3:(a31,a32,a34) v4:(a41,a43,a42)
-    vertices = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))
-    partner = [0] * 12
-    for a, b in ((0, 3), (1, 6), (2, 9), (4, 11), (5, 7), (8, 10)):
-        partner[a] = b
-        partner[b] = a
-    return FixedDiagram._raw(vertices, (), tuple(partner), 0)
+    return _slots_diagram(4, 0, ((0, 3), (1, 6), (2, 9), (4, 11), (5, 7), (8, 10)))
 
 
 def tri_star(k: int) -> FixedDiagram:
     """k disjoint tripods; vertex i carries legs 3i-2, 3i-1, 3i in order."""
-    vertices = []
-    legs = [0] * (3 * k)
-    partner = [0] * (6 * k)
-    for i in range(k):
-        base = 6 * i
-        vertices.append((base, base + 1, base + 2))
-        for j in range(3):
-            partner[base + j] = base + 3 + j
-            partner[base + 3 + j] = base + j
-            legs[3 * i + j] = base + 3 + j
-    return FixedDiagram._raw(tuple(vertices), tuple(legs), tuple(partner), 0)
+    return _slots_diagram(k, 3 * k, [(x, 3 * k + x) for x in range(3 * k)])
 
 
 def as_element():
@@ -563,20 +528,9 @@ def as_element():
 
 def _two_vertex(legs_u, legs_v):
     """4-legged diagram u:(leg lu1, leg lu2, s), v:(s, leg lv1, leg lv2)."""
-    # u darts 0,1,2 ; v darts 3,4,5 ; internal edge 2-3 ; leg darts 6..9
-    partner = [0] * 10
-    partner[2] = 3
-    partner[3] = 2
-    legs = [0] * 4
-    for slot, lab in zip((0, 1), legs_u):
-        partner[slot] = 5 + lab
-        partner[5 + lab] = slot
-        legs[lab - 1] = 5 + lab
-    for slot, lab in zip((4, 5), legs_v):
-        partner[slot] = 5 + lab
-        partner[5 + lab] = slot
-        legs[lab - 1] = 5 + lab
-    return FixedDiagram._raw(((0, 1, 2), (3, 4, 5)), tuple(legs), tuple(partner), 0)
+    # internal edge 2-3 ; leg l is slot 5 + l
+    return _slots_diagram(2, 4, [(2, 3)] + [(slot, 5 + lab) for slot, lab in
+                                            zip((0, 1, 4, 5), legs_u + legs_v)])
 
 
 def ihx_element():
@@ -643,8 +597,8 @@ def from_json_dict(obj) -> FixedDiagram:
     d = FixedDiagram(vertices=obj.get("vertices", ()),
                      legs=legs,
                      edges=obj.get("edges", ()),
-                     loop_count=obj.get("loop_count", 0))
-    if d.num_legs != int(obj.get("legs", d.num_legs)):
+                     loop_count=_integer(obj.get("loop_count", 0)))
+    if d.num_legs != _integer(obj.get("legs", d.num_legs)):
         raise BadLegRange(obj.get("legs"), d.num_legs)
     return d
 

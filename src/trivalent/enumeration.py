@@ -26,6 +26,7 @@ from .diagrams import (
     FixedDiagram,
     _pack,
     _rival_below,
+    _slots_diagram,
     canonical_form,
     glue,
     tri_star,
@@ -160,22 +161,17 @@ def enumerate_fixed_diagrams(k: int, max_vertices: int) -> DiagramCorpus:
 def _build(k, parts, code):
     """The representative: vertex darts first, vertex by vertex, then legs."""
     base = 3 * sum(c[0] for c in parts)
-    partner = [0] * (base + k)
-    off = 0
-    for v, _, pairs, block in parts:
-        for pair in pairs:
-            a, b = (off + y if y >= 0 else base + block[-y - 1] - 1 for y in pair)
-            partner[a], partner[b] = b, a
-        off += 3 * v
-    d = _slots_diagram(base // 3, k, partner)
+
+    def slot_pairs():
+        off = 0
+        for v, _, pairs, block in parts:
+            for pair in pairs:
+                yield tuple(off + y if y >= 0 else base + block[-y - 1] - 1 for y in pair)
+            off += 3 * v
+
+    d = _slots_diagram(base // 3, k, slot_pairs())
     d._code = code
     return d
-
-
-def _slots_diagram(v, k, partner):
-    """The diagram on slots [0, 3v+k): vertex triples first, then the legs."""
-    return FixedDiagram._raw(tuple((x, x + 1, x + 2) for x in range(0, 3 * v, 3)),
-                             tuple(range(3 * v, 3 * v + k)), tuple(partner), 0)
 
 
 def _matchings(labels):
@@ -197,11 +193,7 @@ def enumerate_matchings(m: int):
 
 def matching_diagram(matching, m: int) -> FixedDiagram:
     """The m-legged diagram whose edges pair legs as the matching does."""
-    partner = [-1] * m
-    for a, b in matching:
-        partner[a - 1] = b - 1
-        partner[b - 1] = a - 1
-    return FixedDiagram._raw((), tuple(range(m)), tuple(partner), 0)
+    return _slots_diagram(0, m, [(a - 1, b - 1) for a, b in matching])
 
 
 def matching_glue(matching, k: int) -> FixedDiagram:
@@ -223,14 +215,8 @@ def random_diagram_corpus(k: int, count: int, max_vertices: int, seed: int,
         if len(found) >= count:
             break
         v = rng.choice(vs)
-        m = 3 * v + k
-        slots = list(range(m))
+        slots = list(range(3 * v + k))
         rng.shuffle(slots)
-        partner = [-1] * m
-        for i in range(0, m, 2):
-            a, b = slots[i], slots[i + 1]
-            partner[a] = b
-            partner[b] = a
-        d = _slots_diagram(v, k, partner)
+        d = _slots_diagram(v, k, zip(slots[::2], slots[1::2]))
         found.setdefault(canonical_form(d), d)
     return DiagramCorpus.by_code(k, found)

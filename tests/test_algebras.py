@@ -116,6 +116,24 @@ class TestOrthonormalize:
         c = orthonormalize(gl_algebra(2))
         assert jacobi_check(c) < 1e-10
 
+    def test_isotropic_standard_basis(self):
+        # both standard basis vectors are isotropic; their sum is not
+        gram = np.array([[0, 1], [1, 0]], dtype=object)
+        c = orthonormalize(MetricLieAlgebra(2, zeros_array((2, 2, 2), RATIONAL), gram,
+                                            backend=RATIONAL))
+        assert c.entries.flatten().tolist() == [0j] * 8
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("make", [sl_n_trace, gl_n_trace])
+    def test_theta_on_trace_forms(self, make, n):
+        # theta = 2n(n^2 - 1) on sl(n) and on gl(n), whose centre adds nothing
+        v = partition_function(make(n), theta())
+        assert abs(v - 2 * n * (n * n - 1)) < 1e-9 * n ** 3
+
+    def test_deterministic(self):
+        for make in (sl_n_trace, gl_n_trace):
+            assert np.array_equal(make(3).entries, make(3).entries)
+
 
 class TestKilling:
     def test_sl2_killing_gram(self):

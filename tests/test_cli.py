@@ -67,7 +67,25 @@ class TestEval:
          '{"dim": 1, "backend": "rational", "entries": [[0, 0, 0, 1, 0]]}'),
         (["rank", "--legs", "0", "--max-vertices", "0", "--weights"],
          '{"backend": "rational", "loop_value": [3, 0], "entries": []}'),
-    ], ids=["graph_1e400", "table_1e400", "tensor_zero_denominator", "table_zero_denominator"])
+        (["eval", "--graph", "builtin:theta", "--algebra"],
+         '{"dim": 2, "backend": "rational", "entries": [[5, 0, 0, 1, 1]]}'),
+        (["eval", "--graph", "builtin:theta", "--algebra"],
+         '{"dim": 3, "backend": "rational", "entries": '
+         '[[-3, 1, 2, 1, 1], [1, 2, 0, 1, 1], [2, 0, 1, 1, 1]]}'),
+        (["eval", "--graph", "builtin:theta", "--algebra"],
+         '{"dim": 2.5, "backend": "rational", "entries": []}'),
+        (["eval", "--graph", "builtin:theta", "--algebra"],
+         '{"dim": 3, "backend": "rational", "entries": '
+         '[[0, 1, 2, 2.5, 1], [1, 2, 0, 2.5, 1], [2, 0, 1, 2.5, 1]]}'),
+        (["eval", "--algebra", "so3", "--graph"], '{"loop_count": 1.5}'),
+        (["canon", "--graph"], '{"legs": 2.5, "legs_map": {"1": "a", "2": "b"}, '
+                               '"edges": [["a", "b"]]}'),
+        (["rank", "--legs", "0", "--max-vertices", "0", "--weights"],
+         '{"backend": "rational", "loop_value": [2.5, 1], "entries": []}'),
+    ], ids=["graph_1e400", "table_1e400", "tensor_zero_denominator", "table_zero_denominator",
+            "tensor_index_too_large", "tensor_index_negative", "tensor_fractional_dim",
+            "tensor_fractional_entry", "graph_fractional_loop_count", "graph_fractional_legs",
+            "table_fractional_value"])
     def test_numbers_that_overflow_or_divide_by_zero_are_usage_errors(self, capsys, tmp_path,
                                                                       argv, text):
         p = tmp_path / "bad.json"

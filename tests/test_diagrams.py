@@ -94,6 +94,21 @@ class TestValidate:
         with pytest.raises(PairingNotInvolution):
             FixedDiagram(vertices=[], legs=("x", "y"), edges=[])
 
+    @pytest.mark.parametrize("edges,reason,culprit", [
+        ([("x", "y"), ("y", "z")], "appears in two edges", "y"),
+        ([("x", "y"), ("z", "z")], "paired with itself", "z"),
+        ([("x", "y")], "not covered by any edge", "z"),
+    ])
+    def test_pairing_error_names_user_id(self, edges, reason, culprit):
+        with pytest.raises(PairingNotInvolution, match=reason) as err:
+            FixedDiagram(vertices=[], legs=("x", "y", "z", "w"), edges=edges)
+        assert err.value.half_edge == culprit
+
+    @pytest.mark.parametrize("partner", [(2, 0), (1, 2), (1, -2), (0, 1), (1, 1)])
+    def test_raw_pairing_out_of_range_or_not_involution(self, partner):
+        with pytest.raises(PairingNotInvolution):
+            validate(FixedDiagram._raw((), (0, 1), partner, 0))
+
 
 class TestFlip:
     def test_flip_tripod(self):

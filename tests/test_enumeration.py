@@ -71,7 +71,7 @@ def walk_codes(k, v):
     the matching walk: code every rotation-pruned matching, keep distinct."""
     if v == 0 and k == 0:
         return frozenset()
-    return frozenset(canonical_form(enumeration._slots_diagram(v, k, partner))
+    return frozenset(canonical_form(enumeration._slots_diagram(v, k, enumerate(partner)))
                      for partner in _matchings_rotation_pruned(v, k))
 
 
