@@ -85,6 +85,8 @@ def _weights_from_json_dict(obj):
 
 def _parse_value(v, backend):
     if isinstance(v, list):
+        if len(v) != 2:
+            raise ValueError(f"value {v!r} is not a pair of two numbers")
         if backend == RATIONAL:
             return Fraction(_integer(v[0]), _integer(v[1]))
         return complex(v[0], v[1])
@@ -111,12 +113,18 @@ def _json_safe(x):
     return x
 
 
+def _emit(obj, text, args):
+    """Print `obj` as JSON with --json, else `text`."""
+    print(json.dumps(_json_safe(obj)) if args.json else text)
+
+
+def _report_line(report):
+    status = "pass" if report["pass"] else "FAIL"
+    return f"{report['check']}: residual {format_scalar(report['residual'])} ({status})"
+
+
 def _emit_report(report, args):
-    if args.json:
-        print(json.dumps(_json_safe(report)))
-    else:
-        status = "pass" if report["pass"] else "FAIL"
-        print(f"{report['check']}: residual {format_scalar(report['residual'])} ({status})")
+    _emit(report, _report_line(report), args)
     return 0 if report["pass"] else 1
 
 
@@ -124,10 +132,7 @@ def cmd_eval(args):
     c = load_algebra(args.algebra)
     g = load_graph(args.graph)
     val = partition_function(c, g)
-    if args.json:
-        print(json.dumps({"value": _json_safe(val)}))
-    else:
-        print(format_scalar(val))
+    _emit({"value": val}, format_scalar(val), args)
     return 0
 
 
@@ -142,20 +147,11 @@ def cmd_check(args):
         reports.append(("as", relations.as_residual(c)))
     if args.ihx or run_all:
         reports.append(("ihx", relations.ihx_residual(c)))
-    out = []
-    ok = True
-    for name, residual in reports:
-        passed = residual <= tol
-        ok = ok and passed
-        out.append({"check": name, "params": {"algebra": args.algebra, "dim": c.dim},
-                    "seed": None, "residual": residual, "pass": passed})
-    if args.json:
-        print(json.dumps(_json_safe(out)))
-    else:
-        for rep in out:
-            status = "pass" if rep["pass"] else "FAIL"
-            print(f"{rep['check']}: residual {format_scalar(rep['residual'])} ({status})")
-    return 0 if ok else 1
+    out = [{"check": name, "params": {"algebra": args.algebra, "dim": c.dim},
+            "seed": None, "residual": residual, "pass": residual <= tol}
+           for name, residual in reports]
+    _emit(out, "\n".join(map(_report_line, out)), args)
+    return 0 if all(rep["pass"] for rep in out) else 1
 
 
 def cmd_delta(args):
@@ -165,13 +161,10 @@ def cmd_delta(args):
     if args.h == "builtin:pid":
         h = diagrams.identity_pairing(k)
         val = relations.delta_sum(f, k, h)
-        if args.json:
-            report = {"check": "delta", "params": {"k": k, "h": "builtin:pid"},
-                      "seed": None, "residual": abs(val), "pass": abs(val) <= tol}
-            print(json.dumps(_json_safe(report)))
-        else:
-            print(format_scalar(val))
-        return 0 if abs(val) <= tol else 1
+        report = {"check": "delta", "params": {"k": k, "h": "builtin:pid"},
+                  "seed": None, "residual": abs(val), "pass": abs(val) <= tol}
+        _emit(report, format_scalar(val), args)
+        return 0 if report["pass"] else 1
     if args.corpus is None:
         raise TrivalentError("need either --h builtin:pid or --corpus random:<count>")
     if args.seed is None:
@@ -199,10 +192,7 @@ def cmd_rank(args):
               "params": {"legs": args.legs, "corpus": len(corpus),
                          "rank": r, "bound": bound},
               "seed": None, "residual": max(0, r - bound), "pass": r <= bound}
-    if args.json:
-        print(json.dumps(_json_safe(report)))
-    else:
-        print(f"rank {r} bound {bound} ({'pass' if report['pass'] else 'FAIL'})")
+    _emit(report, f"rank {r} bound {bound} ({'pass' if report['pass'] else 'FAIL'})", args)
     return 0 if report["pass"] else 1
 
 
@@ -224,20 +214,14 @@ def cmd_enum(args):
     index = {"legs": args.legs, "max_vertices": args.max_vertices,
              "codes": [c.hex() for c in corpus.codes], "files": files}
     (out / "index.json").write_text(json.dumps(index))
-    if not args.json:
-        print(f"wrote {len(files)} diagrams to {out}")
-    else:
-        print(json.dumps({"count": len(files), "dir": str(out)}))
+    _emit({"count": len(files), "dir": str(out)}, f"wrote {len(files)} diagrams to {out}", args)
     return 0
 
 
 def cmd_canon(args):
     g = load_graph(args.graph)
-    code = diagrams.canonical_form(g)
-    if args.json:
-        print(json.dumps({"code": code.hex()}))
-    else:
-        print(code.hex())
+    code = diagrams.canonical_form(g).hex()
+    _emit({"code": code}, code, args)
     return 0
 
 

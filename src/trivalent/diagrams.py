@@ -168,69 +168,44 @@ def flip_vertex(d: FixedDiagram, v: int) -> FixedDiagram:
 def glue(g: FixedDiagram, h: FixedDiagram) -> FixedDiagram:
     """Identify equally labeled legs of g and h and join their incident edges.
 
-    Chains of edges whose ends are all legs are spliced through; a chain
-    that closes up entirely on leg-edges becomes one vertexless loop.
+    The result is in the slot layout: vertex i is darts 3i, 3i+1, 3i+2, g's
+    vertices first and then h's, each in vertex order.  Chains of edges
+    whose ends are all legs are spliced through; a chain that closes up
+    entirely on leg-edges becomes one vertexless loop.
     """
     k = g.num_legs
     if h.num_legs != k:
         raise LegCountMismatch(f"{k} legs vs {h.num_legs} legs")
     mg = g.num_darts
-    total = mg + h.num_darts
     tau = list(g.partner) + [p + mg for p in h.partner]
-    sigma = [0] * total
-    is_leg = bytearray(total)
-    for a, b0 in zip(g.legs, h.legs):
-        b = b0 + mg
-        sigma[a] = b
-        sigma[b] = a
-        is_leg[a] = is_leg[b] = 1
+    cross = [-1] * len(tau)
+    for a, b in zip(g.legs, h.legs):
+        cross[a], cross[b + mg] = b + mg, a
+    darts = [x for tri in g.vertices for x in tri] + [x + mg for tri in h.vertices for x in tri]
+    slot = [-1] * len(tau)
+    for i, x in enumerate(darts):
+        slot[x] = i
 
-    newid = [-1] * total
-    new_vertices = []
-    c = 0
-    for tri in g.vertices:
-        t = []
-        for dart in tri:
-            newid[dart] = c
-            t.append(c)
-            c += 1
-        new_vertices.append(tuple(t))
-    for tri in h.vertices:
-        t = []
-        for dart in tri:
-            newid[dart + mg] = c
-            t.append(c)
-            c += 1
-        new_vertices.append(tuple(t))
-
-    partner = [-1] * c
-    used = bytearray(total)
-    for old in range(total):
-        nd = newid[old]
-        if nd < 0 or partner[nd] >= 0:
-            continue
-        y = tau[old]
-        while is_leg[y]:
-            used[y] = 1
-            z = sigma[y]
-            used[z] = 1
+    def chain_end(y):
+        """The dart where tau -> cross -> tau ... from y stops; clears its legs."""
+        while cross[y] >= 0:
+            z = cross[y]
+            cross[y] = cross[z] = -1
             y = tau[z]
-        partner[nd] = newid[y]
-        partner[newid[y]] = nd
+        return y
 
+    partner = [-1] * len(darts)
+    for i, x in enumerate(darts):
+        if partner[i] < 0:
+            j = slot[chain_end(tau[x])]
+            partner[i], partner[j] = j, i
     loops = 0
-    for dart in range(total):
-        if is_leg[dart] and not used[dart]:
-            cur = dart
-            while not used[cur]:
-                used[cur] = 1
-                z = sigma[cur]
-                used[z] = 1
-                cur = tau[z]
+    for a in g.legs:
+        if cross[a] >= 0:
+            chain_end(a)
             loops += 1
-
-    return FixedDiagram._raw(tuple(new_vertices), (), tuple(partner),
-                             g.loop_count + h.loop_count + loops)
+    return FixedDiagram._raw(tuple([(x, x + 1, x + 2) for x in range(0, len(darts), 3)]),
+                             (), tuple(partner), g.loop_count + h.loop_count + loops)
 
 
 def disjoint_union(g: FixedDiagram, h: FixedDiagram) -> FixedDiagram:
@@ -282,7 +257,8 @@ def edge_connected_sum(g: FixedDiagram, e: int, h: FixedDiagram, e2: int,
     """Cross-join edge `e` of g with edge `e2` of h (indices into .edges()).
 
     With edges (x,y) and (x',y'), the default joins x-x' and y-y'; `swap`
-    selects the other crossing x-y', y-x'.
+    selects the other crossing x-y', y-x'.  Both edges are cut into two legs
+    and the halves glued, so the result is in glue's slot layout.
     """
     for d in (g, h):
         if not is_three_graph(d):
@@ -300,19 +276,17 @@ def edge_connected_sum(g: FixedDiagram, e: int, h: FixedDiagram, e2: int,
     x2, y2 = he[e2]
     if vert_of_h[x2] == vert_of_h[y2]:
         raise LoopEdge(f"edge {e2} of second diagram is a loop")
-
-    mg = g.num_darts
-    partner = list(g.partner) + [p + mg for p in h.partner]
-    x2 += mg
-    y2 += mg
     if swap:
         x2, y2 = y2, x2
-    partner[x] = x2
-    partner[x2] = x
-    partner[y] = y2
-    partner[y2] = y
-    vertices = g.vertices + tuple(tuple(t + mg for t in tri) for tri in h.vertices)
-    return FixedDiagram._raw(vertices, (), tuple(partner), 0)
+    return glue(_cut(g, x, y), _cut(h, x2, y2))
+
+
+def _cut(d, x, y):
+    """d with edge x-y cut into leg 1 at x and leg 2 at y."""
+    m = d.num_darts
+    partner = list(d.partner) + [x, y]
+    partner[x], partner[y] = m, m + 1
+    return FixedDiagram._raw(d.vertices, (m, m + 1), tuple(partner), d.loop_count)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,21 @@ class TestRank:
             assert code == 2 and not out and "unknown backend 'weird'" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("backend", ["rational", "complex"])
+    @pytest.mark.parametrize("value", [[], [1], [3, 1, 7]])
+    @pytest.mark.parametrize("where", ["loop_value", "entry"])
+    def test_value_not_a_pair_is_usage_error(self, capsys, tmp_path, backend, value, where):
+        entry = {"code": canonical_form(theta()).hex(), "value": value if where == "entry" else 6}
+        table = {"backend": backend, "loop_value": value if where == "loop_value" else 3,
+                 "entries": [entry]}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(table, schema("table.schema.json"))
+        p = tmp_path / "pair.json"
+        p.write_text(json.dumps(table))
+        code, out, err = run(capsys, "rank", "--weights", str(p), "--legs", "0",
+                             "--max-vertices", "0")
+        assert code == 2 and not out and str(p) in err and "Traceback" not in err
+
     def test_many_legs_exit_2_quickly(self, capsys):
         t0 = perf_counter()
         code, out, err = run(capsys, "rank", "--weights", "so3", "--legs", "12",

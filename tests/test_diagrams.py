@@ -18,6 +18,7 @@ from trivalent import (
     from_json_dict,
     glue,
     identity_pairing,
+    ihx_element,
     is_three_graph,
     k4,
     permutation_diagram,
@@ -36,6 +37,7 @@ from trivalent.diagrams import (
     _pack,
     _rho_map,
     _rival_below,
+    _slots_diagram,
 )
 from trivalent.errors import (
     BadIndex,
@@ -166,6 +168,41 @@ class TestGlue:
             glue(tripod(1, 2, 3), identity_pairing(2))
 
 
+class TestGlueLayout:
+    """glue's literal darts: contraction plans break ties by dart number."""
+
+    def test_slot_layout_g_first(self):
+        g, h = ihx_element()[0][1], ihx_element()[1][1]
+        glued = glue(g, h)
+        assert glued.vertices == ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))
+        assert glued.partner == (7, 10, 3, 2, 6, 11, 4, 0, 9, 8, 1, 5)
+        assert (glued.legs, glued.loop_count) == ((), 0)
+        # g's darts numbered backwards: the slots follow vertex order, not dart ids
+        backwards = FixedDiagram(vertices=[(9, 8, 7), (6, 5, 4)], legs=[3, 2, 1, 0],
+                                 edges=[(7, 6), (9, 3), (8, 2), (5, 1), (4, 0)])
+        assert glue(backwards, h).partner == glued.partner
+
+    def test_slot_layout_vertexless_g(self):
+        glued = glue(permutation_diagram((2, 1)), ihx_element()[1][1])
+        assert glued.vertices == ((0, 1, 2), (3, 4, 5))
+        assert (glued.partner, glued.loop_count) == ((4, 5, 3, 2, 0, 1), 0)
+
+    def test_tripods(self):
+        glued = glue(tripod(1, 2, 3), tripod(1, 3, 2))
+        assert glued.vertices == ((0, 1, 2), (3, 4, 5))
+        assert (glued.partner, glued.loop_count) == ((3, 5, 4, 0, 2, 1), 0)
+
+    def test_chains_through_chords_on_both_sides(self):
+        # h: chords leg1-leg5 (closes a loop with P's edge 1-5) and leg2-leg4
+        # (the chain u0 - leg3 - leg4 - leg2 - leg6 - v5 passes it and P's
+        # edges 3-4 and 2-6); legs 3 and 6 at vertices u and v
+        h = _slots_diagram(2, 6, [(6, 10), (7, 9), (0, 8), (5, 11), (1, 4), (2, 3)])
+        for glued in (glue(permutation_diagram((2, 3, 1)), h),
+                      glue(h, permutation_diagram((2, 3, 1)))):
+            assert glued.vertices == ((0, 1, 2), (3, 4, 5))
+            assert (glued.partner, glued.loop_count) == ((5, 4, 3, 2, 1, 0), 1)
+
+
 class TestDisjointUnion:
     def test_empty_is_unit(self):
         g = disjoint_union(empty_diagram(), theta())
@@ -211,7 +248,43 @@ class TestPermutationDiagram:
             permutation_diagram([1, 1])
 
 
+def _rewired_sum(g, e, h, e2, swap):
+    """The connected sum built directly: both partner arrays side by side,
+    edges x-y of g and x'-y' of h rewired to x-x', y-y' (x-y', y-x' on swap)."""
+    (x, y), (x2, y2) = g.edges()[e], h.edges()[e2]
+    mg = g.num_darts
+    partner = list(g.partner) + [p + mg for p in h.partner]
+    x2, y2 = (y2 + mg, x2 + mg) if swap else (x2 + mg, y2 + mg)
+    partner[x], partner[x2], partner[y], partner[y2] = x2, x, y2, y
+    vertices = g.vertices + tuple(tuple(t + mg for t in tri) for tri in h.vertices)
+    return FixedDiagram(vertices=vertices, edges=[(a, b) for a, b in enumerate(partner) if a < b])
+
+
+def _theta_theta():
+    return edge_connected_sum(theta(), 0, theta(), 0)
+
+
+def _flipped_k4():
+    return flip_vertex(k4(), 0)
+
+
 class TestEdgeConnectedSum:
+    # on the last two, the two crossings give non-isomorphic sums for some edge pairs
+    @pytest.mark.parametrize("make_g, make_h", [
+        (theta, theta), (theta, k4), (k4, k4), (_theta_theta, theta),
+        (_theta_theta, _theta_theta), (_flipped_k4, _flipped_k4)])
+    def test_matches_rewired_sum(self, make_g, make_h):
+        g, h = make_g(), make_h()
+        for e, e2, swap in itertools.product(range(len(g.edges())), range(len(h.edges())),
+                                             (False, True)):
+            assert (canonical_form(edge_connected_sum(g, e, h, e2, swap=swap))
+                    == canonical_form(_rewired_sum(g, e, h, e2, swap)))
+
+    def test_bad_edge_index(self):
+        for e, e2 in ((-1, 0), (3, 0), (0, -1), (0, 6)):
+            with pytest.raises(BadIndex):
+                edge_connected_sum(theta(), e, k4(), e2)
+
     def test_theta_theta_vertices(self):
         g = edge_connected_sum(theta(), 0, theta(), 0)
         assert g.num_vertices == 4
@@ -239,6 +312,8 @@ class TestEdgeConnectedSum:
                                 edges=[(1, 2), (4, 5), (0, 3)])
         with pytest.raises(LoopEdge):
             edge_connected_sum(dumbbell, 1, theta(), 0)
+        with pytest.raises(LoopEdge):
+            edge_connected_sum(theta(), 0, dumbbell, 1)
 
 
 class TestCanonicalForm:
