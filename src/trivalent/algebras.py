@@ -97,7 +97,10 @@ class StructureTensor:
 
     `lie=True` records that the tensor claims full antisymmetry and the
     quadratic (Jacobi) relations; the checks below verify the claim.
-    `scaled` is (D, D*entries), D the lcm of the denominators (1 if complex).
+    `scaled` is (s, s*entries), values on V vertices s**V times c's: s = D, the
+    lcm of the denominators, if rational; if complex, s undoes the largest
+    entry's phase when that leaves a tensor real up to rounding, kept in
+    float64, and s = 1 otherwise.
     """
 
     __slots__ = ("dim", "backend", "entries", "lie", "scaled")
@@ -110,10 +113,17 @@ class StructureTensor:
         self.entries = _array(entries, backend)
         if self.entries.shape != (dim, dim, dim):
             raise ValueError(f"entries shape {self.entries.shape} != {(dim,) * 3}")
-        den = math.lcm(*(x.denominator for x in self.entries.flat)) if backend == RATIONAL else 1
-        self.scaled = (den, self.entries if den == 1 else np.array(
-            [x.numerator * (den // x.denominator) for x in self.entries.flat],
-            dtype=object).reshape(self.entries.shape))
+        if backend == RATIONAL:
+            den = math.lcm(*(x.denominator for x in self.entries.flat))
+            self.scaled = (den, self.entries if den == 1 else np.array(
+                [x.numerator * (den // x.denominator) for x in self.entries.flat],
+                dtype=object).reshape(self.entries.shape))
+        else:
+            top = complex(max(self.entries.flat, key=abs, default=0))
+            s = top.conjugate() / abs(top) if top else 1 + 0j
+            sc = self.entries * s
+            real = np.max(np.abs(sc.imag), initial=0.0) <= 8 * np.finfo(float).eps * abs(top)
+            self.scaled = (s, sc.real.copy()) if real else (1 + 0j, self.entries)
         self.lie = bool(lie)
         if check and dim > 0:
             r = cyclic_check(self)

@@ -9,10 +9,11 @@ returns the rank-k tensor indexed in leg-label order.
 Evaluation contracts the diagram as a tensor network.  `plan` reads its
 shape alone and merges node pairs greedily, fewest open indices first,
 trying random tie-breaks too when that order would cost many multiplies.
-`execute` runs a plan with `tensordot` on the integer form D*c (a value on
-V vertices is D**V times c's) unless its peak intermediate exceeds
-MAX_ENTRIES.  The literal coloring sum `open_brute_force` (closed value:
-`brute_force_oracle`) stays apart from the planner so each checks the other.
+`execute` runs a plan with `tensordot` on the scaled form s*c (values on V
+vertices are s**V times c's: D*c in Python ints, or a complex c real up to
+one phase in float64) unless its peak intermediate exceeds MAX_ENTRIES.
+The literal coloring sum `open_brute_force` (closed: `brute_force_oracle`)
+stays apart from the planner so each checks the other.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -174,18 +174,18 @@ def _plan_for(g: FixedDiagram, dim):
 
 
 def execute(c: StructureTensor, p: Plan):
-    """Run plan `p` on `c.scaled`, D*c, or raise `TooLarge` before allocating
-    anything when an intermediate would exceed MAX_ENTRIES."""
+    """Run plan `p` on `c.scaled`, s*c, in its dtype, or raise `TooLarge`
+    before allocating anything when an intermediate would exceed MAX_ENTRIES."""
     if c.dim ** p.peak > MAX_ENTRIES:
         raise TooLarge(f"contraction needs {c.dim}^{p.peak} = {c.dim ** p.peak} "
                        f"entries in one intermediate, over the limit of {MAX_ENTRIES}")
     ent = c.scaled[1]
     vals = [ent if t is None else np.trace(ent, axis1=t[0], axis2=t[1]) for t in p.traces]
-    vals += [algebras.eye_array(c.dim, c.backend) for _ in range(p.eyes)]
+    vals += [np.eye(c.dim, dtype=ent.dtype) for _ in range(p.eyes)]
     for i, j, pos_i, pos_j in p.steps:
         vals.append(np.tensordot(vals[i], vals[j], axes=(pos_i, pos_j)))
         vals[i] = vals[j] = None
-    return vals[-1] if vals else algebras._array(1, c.backend)
+    return vals[-1] if vals else np.ones((), ent.dtype)
 
 
 def partition_function(c: StructureTensor, g: FixedDiagram, plan=None):
@@ -205,8 +205,8 @@ def open_partition_function(c: StructureTensor, g: FixedDiagram,
     tensor = np.transpose(execute(c, p), p.perm)
     if g.loop_count:
         tensor = tensor * (c.dim ** g.loop_count)
-    if c.scaled[0] != 1:
-        tensor = tensor * Fraction(1, c.scaled[0] ** g.num_vertices)
+    if c.scaled[1] is not c.entries:  # a scaled form was built: divide by s**V
+        tensor = tensor * (1 / algebras.as_scalar(c.scaled[0], c.backend) ** g.num_vertices)
     return DenseTensor(c.dim, g.num_legs, tensor, c.backend)
 
 

@@ -191,7 +191,7 @@ def connection_matrix(f, corpus: DiagramCorpus) -> ConnectionMatrix:
 def _gram(c: StructureTensor, items):
     """(A A^T, its denominator), rows of A the open evaluations of D*c: exact
     ones are ints over D**V on V vertices, scaled to D**Vmax."""
-    den, ent = c.scaled
+    den, ent = c.scaled if c.backend == RATIONAL else (1, None)  # a phase is no denominator
     dc = c if den == 1 else StructureTensor(c.dim, ent, RATIONAL, check=False)
     vmax = max(g.num_vertices for g in items)
     a = np.array([open_partition_function(dc, g).entries.reshape(-1)

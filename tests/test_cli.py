@@ -40,6 +40,12 @@ class TestEval:
         re, im = out.split()
         assert abs(float(re) - 3) < 1e-9 and abs(float(im)) < 1e-9
 
+    def test_sl3_k4_json(self, capsys):
+        # sl(3) contracts in float64 up to its phase; the value leaves as [re, im]
+        code, out, _ = run(capsys, "eval", "--algebra", "sl:3", "--graph", "builtin:k4", "--json")
+        re, im = json.loads(out)["value"]
+        assert code == 0 and abs(re - 144) <= 1e-12 * 144 and abs(im) <= 1e-12
+
     def test_graph_file(self, capsys, tmp_path):
         p = tmp_path / "theta.json"
         p.write_text(json.dumps(to_json_dict(theta())))
@@ -126,6 +132,12 @@ class TestCheck:
         rep_schema = schema("report.schema.json")
         for rep in reports:
             jsonschema.validate(rep, rep_schema)
+
+    def test_sl3_json_passes(self, capsys):
+        code, out, _ = run(capsys, "check", "--algebra", "sl:3", "--all", "--json")
+        reports = json.loads(out)
+        assert code == 0 and [rep["check"] for rep in reports] == ["jacobi", "as", "ihx"]
+        assert all(rep["pass"] and rep["residual"] < 1e-12 for rep in reports)
 
     def test_exact_residuals_print_as_zero(self, capsys):
         code, out, _ = run(capsys, "check", "--algebra", "so:4", "--all", "--json")
@@ -219,6 +231,13 @@ class TestRank:
         rep = json.loads(out)
         jsonschema.validate(rep, schema("report.schema.json"))
         assert rep["params"]["rank"] <= 1
+
+    def test_sl3_two_legs(self, capsys):
+        code, out, _ = run(capsys, "rank", "--weights", "sl:3", "--legs", "2",
+                           "--max-vertices", "3", "--json")
+        rep = json.loads(out)
+        assert code == 0 and rep["pass"]
+        assert rep["params"] == {"legs": 2, "corpus": 9, "rank": 1, "bound": 64}
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_max_corpus_must_be_positive(self, capsys, cap):

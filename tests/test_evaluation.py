@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -20,12 +21,14 @@ from trivalent import (
     connection_matrix,
     cyclic_check,
     delta_sum,
+    direct_sum,
     direct_sum_additivity_check,
     disjoint_union,
     edge_connected_sum,
     enumerate_fixed_diagrams,
     evaluate,
     flip_vertex,
+    gl_n_trace,
     glue,
     identity_pairing,
     ihx_residual,
@@ -39,7 +42,9 @@ from trivalent import (
     permutation_diagram,
     random_diagram_corpus,
     random_structure_tensor,
+    scale_tensor,
     sl2_killing,
+    sl_n_trace,
     so3_eps,
     so_n_rational,
     theta,
@@ -48,7 +53,7 @@ from trivalent import (
     vertexless_loop,
 )
 from trivalent import evaluation
-from trivalent.algebras import RATIONAL, StructureTensor, max_abs
+from trivalent.algebras import COMPLEX, RATIONAL, TOL, StructureTensor, max_abs
 from trivalent.errors import DanglingAxes, HasLegs, LegCountMismatch, TableMiss, TooLarge
 from trivalent.evaluation import MAX_ENTRIES, _plan_for, plan
 
@@ -436,3 +441,103 @@ class TestExactness:
                           ihx_residual):
                 r = check(c)
                 assert r == 0 and type(r) is type(zero)
+
+
+def _phased_so3():
+    return scale_tensor(so3_eps().to_complex(), cmath.exp(0.6j))
+
+
+def _with_imaginary_residue():
+    """Real so(3) plus 1e-12 i on every entry: far above rounding, so not real."""
+    c = so3_eps().to_complex()
+    return StructureTensor(3, c.entries + 1e-12j, COMPLEX, check=False)
+
+
+#: complex tensors that are real up to one phase, contracted in float64
+REAL_UP_TO_A_PHASE = {
+    "sl_2_trace": lambda: sl_n_trace(2),
+    "sl_3_trace": lambda: sl_n_trace(3),
+    "gl_2_trace": lambda: gl_n_trace(2),
+    "sl2_killing": sl2_killing,
+    "so3_phase_0.6": _phased_so3,
+    "minus_so4": lambda: scale_tensor(so_n_rational(4).to_complex(), -1),
+}
+#: complex tensors with no such phase, contracted in complex128 as they are
+NOT_REAL_UP_TO_A_PHASE = {
+    "sl2_killing_plus_so3": lambda: direct_sum(sl2_killing(), so3_eps().to_complex()),
+    "so3_imaginary_residue": _with_imaginary_residue,
+}
+
+
+def _oracle_corpora(dim):
+    """Closed diagrams, odd V (one or three legs) and leg-to-leg edges (two and
+    three legs), kept to at most dim**6 colorings a diagram for the oracle."""
+    budget = [(0, 2), (1, 1), (2, 2), (3, 1)] if dim > 4 else [(0, 4), (1, 3), (2, 3), (3, 3)]
+    return [g for legs, v in budget for g in enumerate_fixed_diagrams(legs, v)]
+
+
+class TestPhaseScaledContraction:
+    """A complex tensor c = w*r, r real and |w| = 1, contracts as r in float64."""
+
+    @pytest.mark.parametrize("make", list(REAL_UP_TO_A_PHASE.values()),
+                             ids=list(REAL_UP_TO_A_PHASE))
+    def test_float_form_equals_the_oracle(self, make):
+        c = make()
+        s, sc = c.scaled
+        assert sc.dtype == np.float64 and type(s) is complex and abs(abs(s) - 1) < 1e-15
+        assert np.abs(s * c.entries - sc).max() <= 1e-15 * max_abs(c.entries)
+        self._check_against_oracle(c)
+
+    @pytest.mark.parametrize("make", list(NOT_REAL_UP_TO_A_PHASE.values()),
+                             ids=list(NOT_REAL_UP_TO_A_PHASE))
+    def test_other_tensors_stay_complex(self, make):
+        c = make()
+        assert c.scaled == (1, c.entries) and c.scaled[1] is c.entries
+        assert c.scaled[1].dtype == np.complex128
+        self._check_against_oracle(c)
+
+    @staticmethod
+    def _check_against_oracle(c):
+        corpus = _oracle_corpora(c.dim) + [vertexless_loop()]
+        assert {g.num_vertices % 2 for g in corpus} == {0, 1}
+        assert any(g.partner[x] in g.legs for g in corpus for x in g.legs)
+        for g in corpus:
+            # identities for leg-to-leg edges and an empty plan's 1 keep the dtype
+            assert evaluation.execute(c, _plan_for(g, c.dim)).dtype == c.scaled[1].dtype
+            got, want = open_partition_function(c, g), open_brute_force(c, g)
+            assert got.entries.dtype == np.complex128
+            assert np.abs(got.entries - want.entries).max(initial=0) <= \
+                TOL * max(1.0, max_abs(want.entries))
+            if not g.num_legs:
+                value, ref = partition_function(c, g), brute_force_oracle(c, g)
+                assert type(value) is complex and abs(value - ref) <= TOL * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("make", [lambda: sl_n_trace(3), sl2_killing, _phased_so3],
+                             ids=["sl_3_trace", "sl2_killing", "so3_phase_0.6"])
+    def test_complex_results_are_python_complex(self, make):
+        c = make()
+        f = TensorBacked(c)
+        a = open_partition_function(c, tripod(1, 2, 3))   # one vertex: odd V
+        b = open_partition_function(c, tripod(1, 3, 2))
+        loop = disjoint_union(theta(), vertexless_loop())
+        values = [
+            partition_function(c, theta()), partition_function(c, k4()),
+            partition_function(c, loop), brute_force_oracle(c, theta()),
+            open_partition_function(c, theta()).item(), open_partition_function(c, loop).item(),
+            a.bilinear_dot(b), f.evaluate(k4()), evaluate(f, [(2, theta())]),
+        ]
+        values += [x for row in connection_matrix(f, enumerate_fixed_diagrams(1, 3)).entries
+                   for x in row]
+        assert [type(v) for v in values] == [complex] * len(values)
+        assert a.entries.dtype == b.entries.dtype == np.complex128
+        assert abs(a.bilinear_dot(b) - partition_function(c, glue(tripod(1, 2, 3),
+                                                                  tripod(1, 3, 2)))) < 1e-9
+
+    def test_phase_powers(self):
+        # phi_{w c}(G) = w**V phi_c(G), V odd or even
+        c, w = so3_eps(), cmath.exp(0.6j)
+        cw = scale_tensor(c.to_complex(), w)
+        for g in _oracle_corpora(3):
+            want = open_partition_function(c, g).entries.astype(complex) * w ** g.num_vertices
+            got = open_partition_function(cw, g).entries
+            assert np.abs(got - want).max(initial=0) <= TOL * max(1.0, max_abs(want))

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -35,6 +36,7 @@ from trivalent import (
     random_diagram_corpus,
     random_structure_tensor,
     rank,
+    scale_tensor,
     sl2_killing,
     sl_n_trace,
     so3_eps,
@@ -343,8 +345,11 @@ class TestFactoredConnectionMatrix:
         cm = connection_matrix(TensorBacked(c), _corpus(2, 3, None))
         assert any(x.denominator > 1 for row in cm.entries for x in row)
 
-    @pytest.mark.parametrize("make", [sl2_killing, lambda: sl_n_trace(3)],
-                             ids=["sl2_killing", "sl_3_trace"])
+    # a phase that is not a power of i: a scale of s**(Vmax - V) would show
+    @pytest.mark.parametrize("make", [sl2_killing, lambda: sl_n_trace(3),
+                                      lambda: scale_tensor(so3_eps().to_complex(),
+                                                           cmath.exp(0.6j))],
+                             ids=["sl2_killing", "sl_3_trace", "so3_phase_0.6"])
     @pytest.mark.parametrize("legs,max_vertices,cap", CORPORA)
     def test_complex_within_tol(self, make, legs, max_vertices, cap):
         c = make()
