@@ -431,4 +431,7 @@ def tensor_from_json_dict(obj) -> StructureTensor:
             ent[idx] = Fraction(_integer(a), _integer(b))
         else:
             ent[idx] = complex(a, b)
-    return StructureTensor(dim, ent, backend, lie=bool(obj.get("lie", False)))
+    lie = obj.get("lie", False)
+    if not isinstance(lie, bool):
+        raise TypeError(f"lie {lie!r} is not a JSON boolean")
+    return StructureTensor(dim, ent, backend, lie=lie)

@@ -147,8 +147,7 @@ def cmd_check(args):
         reports.append(("as", relations.as_residual(c)))
     if args.ihx or run_all:
         reports.append(("ihx", relations.ihx_residual(c)))
-    out = [{"check": name, "params": {"algebra": args.algebra, "dim": c.dim},
-            "seed": None, "residual": residual, "pass": residual <= tol}
+    out = [relations.check_report(name, {"algebra": args.algebra, "dim": c.dim}, residual, tol)
            for name, residual in reports]
     _emit(out, "\n".join(map(_report_line, out)), args)
     return 0 if all(rep["pass"] for rep in out) else 1
@@ -159,10 +158,8 @@ def cmd_delta(args):
     k = args.k
     tol = args.tol if args.tol is not None else (0 if f.backend == RATIONAL else algebras.TOL)
     if args.h == "builtin:pid":
-        h = diagrams.identity_pairing(k)
-        val = relations.delta_sum(f, k, h)
-        report = {"check": "delta", "params": {"k": k, "h": "builtin:pid"},
-                  "seed": None, "residual": abs(val), "pass": abs(val) <= tol}
+        val = relations.delta_sum(f, k, diagrams.identity_pairing(k))
+        report = relations.check_report("delta", {"k": k, "h": "builtin:pid"}, abs(val), tol)
         _emit(report, format_scalar(val), args)
         return 0 if report["pass"] else 1
     if args.corpus is None:
@@ -188,10 +185,8 @@ def cmd_rank(args):
     if args.max_corpus is not None:
         corpus = corpus.head(args.max_corpus)
     r = relations.rank(relations.connection_matrix(f, corpus))
-    report = {"check": "rank",
-              "params": {"legs": args.legs, "corpus": len(corpus),
-                         "rank": r, "bound": bound},
-              "seed": None, "residual": max(0, r - bound), "pass": r <= bound}
+    report = relations.check_report("rank", {"legs": args.legs, "corpus": len(corpus),
+                                             "rank": r, "bound": bound}, max(0, r - bound), 0)
     _emit(report, f"rank {r} bound {bound} ({'pass' if report['pass'] else 'FAIL'})", args)
     return 0 if report["pass"] else 1
 

@@ -12,6 +12,8 @@ trying random tie-breaks too when that order would cost many multiplies.
 `execute` runs a plan with `tensordot` on the scaled form s*c (values on V
 vertices are s**V times c's: D*c in Python ints, or a complex c real up to
 one phase in float64) unless its peak intermediate exceeds MAX_ENTRIES.
+`_scaled_open` is the one step from a contraction to a value: open and
+closed values divide it by s**V, connection-matrix rows scale it to s**Vmax.
 The literal coloring sum `open_brute_force` (closed: `brute_force_oracle`)
 stays apart from the planner so each checks the other.
 """
@@ -49,7 +51,7 @@ ORACLE_COLORINGS = 10 ** 7
 
 @dataclass
 class DenseTensor:
-    """Dense rank-k tensor over one scalar backend, axes in leg-label order."""
+    """Dense rank-k tensor in its backend's dtype, axes in leg-label order."""
 
     dim: int
     rank: int
@@ -57,7 +59,7 @@ class DenseTensor:
     backend: str
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries)  # a 0-d product may be a bare scalar
+        self.entries = np.asarray(self.entries, algebras._dtype(self.backend))
 
     def item(self):
         return algebras.as_scalar(self.entries.item(), self.backend)
@@ -67,7 +69,7 @@ class DenseTensor:
         gluing identity use)."""
         if self.rank != other.rank:
             raise LegCountMismatch(f"rank {self.rank} vs {other.rank}")
-        return algebras.as_scalar((self.entries * other.entries).sum(), self.backend)
+        return algebras.as_scalar(np.sum(self.entries * other.entries), self.backend)
 
 
 def _edge_ids(g: FixedDiagram):
@@ -188,26 +190,25 @@ def execute(c: StructureTensor, p: Plan):
     return vals[-1] if vals else np.ones((), ent.dtype)
 
 
-def partition_function(c: StructureTensor, g: FixedDiagram, plan=None):
-    """Closed evaluation on a 0-legged diagram, by `plan` if given."""
+def _scaled_open(c: StructureTensor, g: FixedDiagram):
+    """s**V times g's open value on V vertices: `execute` on s*c by `_plan_for`,
+    axes by leg label, times dim**loops.  Always an array of `c.scaled[1]`'s
+    dtype, never the bare scalar a 0-d product gives."""
+    p = _plan_for(g, c.dim)
+    return np.asarray(np.transpose(execute(c, p), p.perm) * c.dim ** g.loop_count,
+                      c.scaled[1].dtype)
+
+
+def partition_function(c: StructureTensor, g: FixedDiagram):
+    """Closed evaluation on a 0-legged diagram: the rank-0 open value."""
     require_no_legs(g)
-    val = execute(c, _plan_for(g, c.dim) if plan is None else plan)[()]
-    if g.loop_count:
-        val = val * c.dim ** g.loop_count
-    val = algebras.as_scalar(val, c.backend)
-    return val if c.scaled[0] == 1 else val / c.scaled[0] ** g.num_vertices
+    return open_partition_function(c, g).item()
 
 
-def open_partition_function(c: StructureTensor, g: FixedDiagram,
-                            plan=None) -> DenseTensor:
+def open_partition_function(c: StructureTensor, g: FixedDiagram) -> DenseTensor:
     """Open evaluation on a k-legged diagram: a rank-k tensor, axes by leg label."""
-    p = _plan_for(g, c.dim) if plan is None else plan
-    tensor = np.transpose(execute(c, p), p.perm)
-    if g.loop_count:
-        tensor = tensor * (c.dim ** g.loop_count)
-    if c.scaled[1] is not c.entries:  # a scaled form was built: divide by s**V
-        tensor = tensor * (1 / algebras.as_scalar(c.scaled[0], c.backend) ** g.num_vertices)
-    return DenseTensor(c.dim, g.num_legs, tensor, c.backend)
+    s = algebras.as_scalar(c.scaled[0], c.backend)
+    return DenseTensor(c.dim, g.num_legs, _scaled_open(c, g) / s ** g.num_vertices, c.backend)
 
 
 def brute_force_oracle(c: StructureTensor, g: FixedDiagram):

@@ -119,6 +119,12 @@ def delta_sum(f, k: int, h: FixedDiagram):
     return total
 
 
+def check_report(check, params, residual, tol, seed=None):
+    """The one report shape: `pass` means the residual is within `tol`."""
+    return {"check": check, "params": params, "seed": seed,
+            "residual": residual, "pass": residual <= tol}
+
+
 def delta_check(f, k: int, hs, tol=0, seed=None):
     """Run the signed permutation sum over a family of 2k-legged diagrams.
 
@@ -136,13 +142,8 @@ def delta_check(f, k: int, hs, tol=0, seed=None):
             worst_code = canonical_form(h).decode()
     if worst is None:
         worst = algebras.zero(f.backend)
-    return {
-        "check": "delta",
-        "params": {"k": k, "count": count, "tol": float(tol), "worst": worst_code},
-        "seed": seed,
-        "residual": worst,
-        "pass": worst <= tol,
-    }
+    return check_report("delta", {"k": k, "count": count, "tol": float(tol),
+                                  "worst": worst_code}, worst, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +152,14 @@ def delta_check(f, k: int, hs, tol=0, seed=None):
 
 @dataclass
 class ConnectionMatrix:
-    """The matrix is `values` over one denominator `den`, Python ints when exact."""
+    """The matrix is `values` over one denominator `den`, Python ints when exact;
+    Gram rows give den = s**(2 Vmax), s = D or a complex unit phase."""
 
     legs: int
     corpus: DiagramCorpus
     backend: str
     values: list
-    den: int
+    den: int | complex
 
     @property
     def entries(self):
@@ -189,15 +191,12 @@ def connection_matrix(f, corpus: DiagramCorpus) -> ConnectionMatrix:
 
 
 def _gram(c: StructureTensor, items):
-    """(A A^T, its denominator), rows of A the open evaluations of D*c: exact
-    ones are ints over D**V on V vertices, scaled to D**Vmax."""
-    den, ent = c.scaled if c.backend == RATIONAL else (1, None)  # a phase is no denominator
-    dc = c if den == 1 else StructureTensor(c.dim, ent, RATIONAL, check=False)
-    vmax = max(g.num_vertices for g in items)
-    a = np.array([open_partition_function(dc, g).entries.reshape(-1)
-                  * den ** (vmax - g.num_vertices) for g in items],
-                 dtype=algebras._dtype(c.backend))
-    return a.dot(a.T).tolist(), den ** (2 * vmax)
+    """(A A^T, its denominator s**(2 Vmax)): row g of A is g's scaled open
+    value times s**(Vmax - V), ints when exact; a complex s is a unit phase."""
+    s, vmax = c.scaled[0], max(g.num_vertices for g in items)
+    a = np.array([evaluation._scaled_open(c, g).reshape(-1) * s ** (vmax - g.num_vertices)
+                  for g in items], dtype=algebras._dtype(c.backend))
+    return a.dot(a.T).tolist(), s ** (2 * vmax)
 
 
 def _rank_fraction_free(rows):
@@ -285,13 +284,8 @@ def connected_sum_multiplicativity_check(c: StructureTensor, g: FixedDiagram,
                 pairs += 1
                 if r > worst:
                     worst = r
-    return {
-        "check": "connected_sum_multiplicativity",
-        "params": {"pairs": pairs, "tol": float(tol)},
-        "seed": None,
-        "residual": worst,
-        "pass": worst <= tol,
-    }
+    return check_report("connected_sum_multiplicativity",
+                        {"pairs": pairs, "tol": float(tol)}, worst, tol)
 
 
 def direct_sum_additivity_check(c1: StructureTensor, c2: StructureTensor,

@@ -387,6 +387,17 @@ class TestGenEnumCanon:
         code, out, _ = run(capsys, "canon", "--graph", str(p))
         assert code == 0 and out == canonical_form(theta()).hex()
 
+    @pytest.mark.parametrize("lie", ["false", "true", 0, 1, 2.5, None, []],
+                             ids=["str_false", "str_true", "zero", "one", "float", "null", "list"])
+    def test_lie_not_a_boolean_is_usage_error(self, capsys, tmp_path, lie):
+        obj = {"dim": 1, "backend": "rational", "lie": lie, "entries": []}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(obj, schema("tensor.schema.json"))
+        p = tmp_path / "lie.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "eval", "--algebra", str(p), "--graph", "builtin:theta")
+        assert code == 2 and not out and str(p) in err and "Traceback" not in err
+
     def test_gen_tensor_schema(self, capsys, tmp_path):
         p = tmp_path / "sl2k.json"
         run(capsys, "gen", "--algebra", "sl2k", "--out", str(p))

@@ -55,7 +55,7 @@ from trivalent import (
 from trivalent import evaluation
 from trivalent.algebras import COMPLEX, RATIONAL, TOL, StructureTensor, max_abs
 from trivalent.errors import DanglingAxes, HasLegs, LegCountMismatch, TableMiss, TooLarge
-from trivalent.evaluation import MAX_ENTRIES, _plan_for, plan
+from trivalent.evaluation import MAX_ENTRIES, _plan_for, execute, plan
 
 
 class TestPartitionFunction:
@@ -170,13 +170,13 @@ class TestOracle:
             ref = partition_function(c, g)
             plans = {plan(g, random.Random(s)) for s in range(6)}
             assert len(plans) > 1
-            for p in plans:
-                assert partition_function(c, g, plan=p) == ref
+            for p in plans:  # so(3) has D = 1: execute gives the value itself
+                assert execute(c, p)[()] * c.dim ** g.loop_count == ref
         for g in random_diagram_corpus(3, 4, 6, seed=8):
             ref = open_partition_function(c, g).entries
             for s in range(4):
                 p = plan(g, random.Random(s))
-                assert (open_partition_function(c, g, plan=p).entries == ref).all()
+                assert (np.transpose(execute(c, p), p.perm) * c.dim ** g.loop_count == ref).all()
 
     def test_oracle_equals_planner_small_sweep(self):
         corpus = enumerate_fixed_diagrams(0, 2)
@@ -209,7 +209,7 @@ class TestPlan:
         for g in corpus:
             for p in (plan(g), plan(g, random.Random(1))):
                 calls.clear()
-                open_partition_function(c, g, plan=p)
+                execute(c, p)
                 assert len(calls) == len(p.steps)
                 assert max((r for r, _ in calls), default=0) == p.peak
                 assert sum(m for _, m in calls) == p.mults(c.dim)
@@ -311,6 +311,51 @@ class TestPairing:
     def test_mismatch(self):
         with pytest.raises(LegCountMismatch):
             pairing_identity_check(so3_eps(), tripod(1, 2, 3), identity_pairing(2))
+
+
+def _sevenths():
+    """A rational tensor with D = 7, not antisymmetric."""
+    return scale_tensor(random_structure_tensor(3, seed=1), Fraction(1, 7))
+
+
+CLOSED_PAIRS = {
+    "k4_theta": lambda: (k4(), theta()),
+    "loop_loop": lambda: (vertexless_loop(), vertexless_loop()),
+    "theta_and_loop_k4": lambda: (disjoint_union(theta(), vertexless_loop()), k4()),
+}
+RANK_ZERO = {
+    "theta": theta,
+    "loop": vertexless_loop,
+    "k4_and_loop": lambda: disjoint_union(k4(), vertexless_loop()),
+}
+
+
+class TestRankZeroValues:
+    """A closed value is a rank-0 open value in the backend's dtype, never a
+    bare scalar: object on the rational backend, complex128 on the complex one."""
+
+    @pytest.mark.parametrize("make", [so3_eps, _sevenths], ids=["so3_eps", "sevenths"])
+    @pytest.mark.parametrize("pair", list(CLOSED_PAIRS.values()), ids=list(CLOSED_PAIRS))
+    def test_closed_pairing_is_exactly_zero(self, make, pair):
+        r = pairing_identity_check(make(), *pair())
+        assert r == 0 and type(r) is Fraction
+
+    @pytest.mark.parametrize("pair", list(CLOSED_PAIRS.values()), ids=list(CLOSED_PAIRS))
+    def test_closed_pairing_sl3_within_tol(self, pair):
+        c = sl_n_trace(3)
+        g, h = pair()
+        scale = max(1.0, abs(partition_function(c, glue(g, h))))
+        assert pairing_identity_check(c, g, h) <= TOL * scale
+
+    @pytest.mark.parametrize("make", [so3_eps, _sevenths, lambda: sl_n_trace(3)],
+                             ids=["so3_eps", "sevenths", "sl_3"])
+    @pytest.mark.parametrize("g", list(RANK_ZERO.values()), ids=list(RANK_ZERO))
+    def test_rank_zero_keeps_the_backend_dtype(self, make, g):
+        c, d = make(), g()
+        for t in (open_partition_function(c, d), open_brute_force(c, d)):
+            assert t.entries.shape == ()
+            assert t.entries.dtype == (object if c.backend == RATIONAL else np.complex128)
+            assert type(t.item()) is (Fraction if c.backend == RATIONAL else complex)
 
 
 class TestWeightSystems:

@@ -20,6 +20,7 @@ from trivalent import (
     delta_check,
     delta_sum,
     direct_sum_additivity_check,
+    disjoint_union,
     enumerate_fixed_diagrams,
     flip_vertex,
     glue,
@@ -338,6 +339,31 @@ class TestFactoredConnectionMatrix:
         corpus = _corpus(legs, max_vertices, cap)
         cm = connection_matrix(TensorBacked(c), corpus)
         assert all(type(x) is Fraction for row in cm.entries for x in row)
+        assert cm.entries == _glued_matrix(TensorBacked(c), corpus)
+
+    def test_loop_rows_with_a_denominator_stay_exact(self):
+        # a vertexless loop once made a 0-legged row a bare int, then int64,
+        # which the row scale D**(Vmax - V) = 7**20 wrapped without an error
+        c = scale_tensor(random_structure_tensor(3, seed=1), Fraction(1, 7))
+        big = next(iter(random_diagram_corpus(0, 5, 22, seed=2, min_vertices=22)))
+        corpus = DiagramCorpus.from_diagrams(0, [disjoint_union(theta(), vertexless_loop()), big])
+        cm = connection_matrix(TensorBacked(c), corpus)
+        assert c.scaled[0] == 7 and cm.den == 7 ** 44
+        assert all(type(v) is int for row in cm.values for v in row)
+        assert cm.entries == _glued_matrix(TensorBacked(c), corpus)
+
+    @pytest.mark.parametrize("make", [so3_eps, lambda: so_n_rational(4)], ids=["so3_eps", "so_4"])
+    @pytest.mark.parametrize("legs", [0, 2])
+    def test_loop_rows_without_a_denominator(self, make, legs):
+        c = make()
+        loops = [vertexless_loop(), disjoint_union(vertexless_loop(), vertexless_loop()),
+                 disjoint_union(theta(), vertexless_loop())]
+        if legs:
+            loops = [disjoint_union(identity_pairing(1), g) for g in loops]
+        corpus = DiagramCorpus.from_diagrams(
+            legs, loops + list(random_diagram_corpus(legs, 6, 4, seed=3)))
+        cm = connection_matrix(TensorBacked(c), corpus)
+        assert c.scaled[0] == 1 and cm.den == 1
         assert cm.entries == _glued_matrix(TensorBacked(c), corpus)
 
     def test_denominators_reach_the_matrix(self):
