@@ -83,7 +83,6 @@ from .relations import (
     direct_sum_additivity_check,
     ihx_residual,
     normalized,
-    permutation_sign,
     rank,
 )
 

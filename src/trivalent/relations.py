@@ -10,6 +10,8 @@ additivity on connected diagrams.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,56 +68,83 @@ def ihx_residual(c: StructureTensor):
 # signed permutation sums
 # ---------------------------------------------------------------------------
 
-def permutation_sign(pi):
-    """(-1) to the number of inversions of a permutation tuple."""
-    return -1 if sum(a > b for a, b in itertools.combinations(pi, 2)) % 2 else 1
+#: join-table rows per array pass: faster than larger blocks, with small work arrays
+_BLOCK = 720
 
 
-def _lexicographic_signs(k: int):
-    """Signs of the permutations of 1..k in `itertools.permutations` order:
-    putting the j-th smallest remaining element first adds j inversions."""
-    signs = [1]
-    for n in range(2, k + 1):
-        signs = [-s if j % 2 else s for j in range(n) for s in signs]
-    return signs
+@functools.lru_cache(maxsize=1)
+def _join_table(k: int):
+    """(J, even, odd): row r of the k! x 2k int8 array J joins legs i and
+    pi(i) both ways, pi the r-th permutation of k..2k-1 in `itertools` order;
+    the bytes masks `even` and `odd` mark the rows by the sign of pi."""
+    p, odd = np.zeros((1, 0), np.int8), np.zeros(1, bool)
+    for n in range(1, k + 1):  # j first, then the rest in order: j more inversions
+        p = np.concatenate([np.column_stack([np.full(len(p), j, np.int8), p + (p >= j)])
+                            for j in range(n)])
+        odd = np.concatenate([odd ^ bool(j % 2) for j in range(n)])
+    join = np.empty((len(p), 2 * k), np.int8)
+    join[:, :k] = p + k
+    np.put_along_axis(join, p + k, np.arange(k, dtype=np.int8), axis=1)
+    return join, (~odd).tobytes(), odd.tobytes()
 
 
-def delta_sum(f, k: int, h: FixedDiagram):
-    """sum over permutations pi of sgn(pi) * f(P_pi glued with h), h 2k-legged.
+def _delta_outcomes(k: int, h: FixedDiagram):
+    """[(signed count, pi)] per glued diagram P_pi with h, in the order of
+    the first pi (1-based, in `itertools.permutations` order) that gives it.
 
     Gluing P_pi joins legs i and k+pi(i) of h.  Followed through h's
     leg-to-leg edges ("chords"), the joins pair up h's legs at vertices and
     close the rest into vertexless loops: that outcome is the glued diagram
-    itself.  The signs are summed per outcome, and f reads each distinct
-    glued diagram once, zero sums included.
+    itself.  All k! joins are followed at once, as rows of the join table.
     """
     if h.num_legs != 2 * k:
         raise LegCountMismatch(f"h has {h.num_legs} legs, expected {2 * k}")
     if math.factorial(k) > DELTA_GUARD:
         raise TooLarge(f"{k}! permutations exceed the guard")
+    table, even, odd = _join_table(k)
     lab = _leg_label_map(h)
-    chord = [lab[h.partner[d]] - 1 for d in h.legs]  # leg index, or -1 at a vertex
-    order = sorted(range(2 * k), key=lambda a: chord[a] >= 0)  # legs at vertices first
-    join = [0] * (2 * k)
-    outcomes = {}  # key -> [signed count, one pi that gives it]
-    for pi, sign in zip(itertools.permutations(range(k, 2 * k)), _lexicographic_signs(k)):
-        for i, j in enumerate(pi):
-            join[i], join[j] = j, i
-        seen = bytearray(2 * k)
-        key = bytearray()
-        for a in order:  # walk to the leg at the other end, or around a loop back to a
-            if not seen[a]:
-                b = join[a]
-                while chord[b] >= 0 and chord[b] != a:
-                    seen[b] = seen[chord[b]] = 1
-                    b = join[chord[b]]
-                seen[b] = 1
-                key.append(255 if chord[b] >= 0 else b)
-        outcomes.setdefault(bytes(key), [0, pi])[0] += sign
+    chord = np.array([lab[h.partner[d]] - 1 for d in h.legs], np.intp)  # leg, or -1 at a vertex
+    at_vertex, ends = np.flatnonzero(chord < 0), np.flatnonzero(chord >= 0)
+    chords = len(ends) // 2
+    compact = np.full(2 * k, len(ends), np.int8)  # chord legs in order; vertex legs: one sink
+    compact[ends] = np.arange(len(ends))
+    label = np.append(np.arange(len(ends), dtype=np.int8), np.int8(-1))
+    outcomes = {}  # key -> [signed count, first row that gives it]
+    for start in range(0, len(table), _BLOCK):
+        join = table[start:start + _BLOCK]
+        row = np.arange(len(join))[:, None]
+        step = join[:, np.maximum(chord, 0)]  # x -> join(chord(x)); legs at vertices stay
+        step[:, at_vertex] = at_vertex
+        flat = (step + row * (2 * k)).ravel()  # the same maps on flat indices
+        far = join[:, at_vertex] + row * (2 * k)
+        for _ in range(chords):
+            far = flat[far]
+        # loops by pointer doubling on the chord legs: each loop is two orbits
+        to = np.empty((len(join), len(ends) + 1), np.intp)
+        to[:, :-1], to[:, -1] = compact[step[:, ends]], len(ends)
+        to = (to + row * to.shape[1]).ravel()
+        low = np.tile(label, len(join))
+        for _ in range(chords.bit_length()):
+            low, to = np.minimum(low, low[to]), to[to]
+        loops = (low.reshape(len(join), -1)[:, :-1] == label[:-1]).sum(1) // 2
+        keys = np.column_stack([far - row * (2 * k), loops]).astype(np.int8, order="C")
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel().tolist()
+        plus = collections.Counter(itertools.compress(keys, even[start:start + _BLOCK]))
+        minus = collections.Counter(itertools.compress(keys, odd[start:start + _BLOCK]))
+        for key in dict.fromkeys(keys):
+            if key not in outcomes:
+                outcomes[key] = [0, start + keys.index(key)]
+            outcomes[key][0] += plus[key] - minus[key]
+    return [(count, tuple((table[r, :k] - (k - 1)).tolist())) for count, r in outcomes.values()]
+
+
+def delta_sum(f, k: int, h: FixedDiagram):
+    """sum over permutations pi of sgn(pi) * f(P_pi glued with h), h 2k-legged.
+
+    f reads each distinct glued diagram once, zero sums included."""
     total = algebras.zero(f.backend)
-    for count, pi in outcomes.values():
-        glued = glue(permutation_diagram([j - k + 1 for j in pi]), h)
-        total = total + count * f.evaluate(glued)
+    for count, pi in _delta_outcomes(k, h):
+        total = total + count * f.evaluate(glue(permutation_diagram(pi), h))
     return total
 
 

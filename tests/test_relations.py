@@ -2,12 +2,14 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from trivalent import (
     DiagramCorpus,
+    FixedDiagram,
     TableBacked,
     TensorBacked,
     abelian,
@@ -33,7 +35,6 @@ from trivalent import (
     open_partition_function,
     partition_function,
     permutation_diagram,
-    permutation_sign,
     random_diagram_corpus,
     random_structure_tensor,
     rank,
@@ -50,7 +51,14 @@ from trivalent import (
 from trivalent import evaluation, relations
 from trivalent.algebras import TOL, StructureTensor, zero, zeros_array
 from trivalent.errors import LegCountMismatch, TableMiss, TooLarge, ZeroDimension
-from trivalent.relations import _lexicographic_signs, _rank_fraction_free, _rank_svd
+from trivalent.relations import _rank_fraction_free, _rank_svd
+
+from oracles import (
+    delta_by_gluing,
+    delta_outcomes_by_walk,
+    lexicographic_signs,
+    permutation_sign,
+)
 
 
 def falling(n, k):
@@ -102,7 +110,7 @@ class TestPermutationSign:
 
     def test_lexicographic_signs(self):
         for k in range(8):
-            assert _lexicographic_signs(k) == [
+            assert lexicographic_signs(k) == [
                 permutation_sign(pi) for pi in itertools.permutations(range(1, k + 1))]
 
 
@@ -163,14 +171,6 @@ class TestDeltaSum:
         assert rep["seed"] == 99
 
 
-def _delta_by_gluing(f, k, h):
-    """The signed sum term by term: every P_pi glued to h and evaluated."""
-    total = zero(f.backend)
-    for pi in itertools.permutations(range(1, k + 1)):
-        total = total + permutation_sign(pi) * f.evaluate(glue(permutation_diagram(pi), h))
-    return total
-
-
 def _hs(k, count, seed):
     return list(random_diagram_corpus(2 * k, count, 4, seed=seed)) + [identity_pairing(k)]
 
@@ -200,7 +200,7 @@ class TestDeltaByOutcome:
     def test_nonzero_sums_exact(self, make, k):
         f, hs = TensorBacked(make()), _hs(k, 40, 11)
         sums = [delta_sum(f, k, h) for h in hs]
-        assert sums == [_delta_by_gluing(f, k, h) for h in hs]
+        assert sums == [delta_by_gluing(f, k, h) for h in hs]
         assert all(type(x) is Fraction for x in sums)
         assert any(sums)
 
@@ -211,7 +211,7 @@ class TestDeltaByOutcome:
         f = TensorBacked(make())
         for h in _hs(k, 50, seed):
             val = delta_sum(f, k, h)
-            assert type(val) is Fraction and val == _delta_by_gluing(f, k, h)
+            assert type(val) is Fraction and val == delta_by_gluing(f, k, h)
 
     def test_so4_k7_exact(self):
         f = TensorBacked(so_n_rational(4))
@@ -220,12 +220,12 @@ class TestDeltaByOutcome:
                                       for v in (2, 4)]
         for h in hs:
             val = delta_sum(f, 7, h)
-            assert type(val) is Fraction and val == _delta_by_gluing(f, 7, h)
+            assert type(val) is Fraction and val == delta_by_gluing(f, 7, h)
 
     def test_complex_within_tol(self):
         f = TensorBacked(sl2_killing())
         for h in _hs(3, 40, 11):
-            ref = _delta_by_gluing(f, 3, h)
+            ref = delta_by_gluing(f, 3, h)
             assert abs(delta_sum(f, 3, h) - ref) <= TOL * max(1.0, abs(ref))
 
     def test_evaluates_each_distinct_glued_diagram_once(self):
@@ -257,7 +257,7 @@ class TestDeltaByOutcome:
                                          Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
         f = TableBacked(Fraction(3), table)
         sums = [delta_sum(f, 3, h) for h in hs]
-        assert sums == [_delta_by_gluing(f, 3, h) for h in hs] and any(sums)
+        assert sums == [delta_by_gluing(f, 3, h) for h in hs] and any(sums)
         h = next(h for h in hs if h.num_vertices)
         comp = next(c for c in components(glue(identity_pairing(3), h)) if c.num_vertices)
         del table[canonical_form(comp)]
@@ -265,7 +265,78 @@ class TestDeltaByOutcome:
         with pytest.raises(TableMiss):
             delta_sum(f, 3, h)
         with pytest.raises(TableMiss):
-            _delta_by_gluing(f, 3, h)
+            delta_by_gluing(f, 3, h)
+
+
+def _chorded(k, chords, at_vertex=()):
+    """2k legs (dart ids 1..2k): `chords` join label pairs, and the four
+    labels `at_vertex`, if given, sit two by two on two joined vertices."""
+    edges = list(chords) + [("u", "v")] * bool(at_vertex)
+    edges += list(zip(at_vertex, "abcd"))
+    vertices = [("a", "b", "u"), ("c", "d", "v")] if at_vertex else []
+    return FixedDiagram(vertices, range(1, 2 * k + 1), edges)
+
+
+class TestDeltaOutcomes:
+    """The array pass over all k! permutations against the per-permutation walk."""
+
+    SHAPED = {
+        # pi = id closes a 4-leg loop (3-4-8-7) next to two 2-leg loops
+        "mixed_loops": _chorded(4, [(1, 5), (2, 6), (3, 4), (7, 8)]),
+        "top_top_bottom_bottom": _chorded(4, [(1, 2), (7, 8)], at_vertex=(3, 4, 5, 6)),
+        # pi = id walks 1-6-2-7-3-8-4-9 through four joins and three chords
+        "chain": _chorded(5, [(6, 2), (7, 3), (8, 4)], at_vertex=(1, 5, 9, 10)),
+    }
+
+    @pytest.mark.parametrize("k,count,seed", [(3, 40, 11), (4, 40, 11), (3, 50, 30021),
+                                              (4, 50, 30022)])
+    def test_random_corpora(self, k, count, seed):
+        for h in _hs(k, count, seed):
+            assert relations._delta_outcomes(k, h) == delta_outcomes_by_walk(k, h)
+
+    def test_k7_and_k8(self):
+        corpus = random_diagram_corpus(14, 50, 4, seed=30023)
+        cases = [(7, next(h for h in corpus if h.num_vertices == v)) for v in (2, 4)]
+        cases += [(8, h) for h in random_diagram_corpus(16, 6, 4, seed=8) if h.num_vertices][:2]
+        for k, h in cases:
+            assert relations._delta_outcomes(k, h) == delta_outcomes_by_walk(k, h)
+
+    def test_identity_pairings(self):
+        for k in range(9):
+            h = identity_pairing(k)
+            assert relations._delta_outcomes(k, h) == delta_outcomes_by_walk(k, h)
+
+    @pytest.mark.parametrize("name", sorted(SHAPED))
+    def test_shaped(self, name):
+        h = self.SHAPED[name]
+        k = h.num_legs // 2
+        outcomes = relations._delta_outcomes(k, h)
+        assert outcomes == delta_outcomes_by_walk(k, h)
+        assert sum(abs(count) for count, _ in outcomes) <= math.factorial(k)
+
+    @pytest.mark.parametrize("make", [sl2_killing, lambda: sl_n_trace(3)],
+                             ids=["sl2_killing", "sl3_trace"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_complex_sums_bit_identical(self, make, k):
+        f = TensorBacked(make())
+        for h in _hs(k, 12, 11):
+            ref = zero(f.backend)
+            for count, pi in delta_outcomes_by_walk(k, h):
+                ref = ref + count * f.evaluate(glue(permutation_diagram(pi), h))
+            assert delta_sum(f, k, h) == ref
+
+    def test_bounded_at_the_guard(self):
+        f = TensorBacked(abelian(9))
+        h = next(h for h in random_diagram_corpus(18, 20, 4, seed=9) if h.num_vertices == 4)
+        assert delta_sum(f, 9, identity_pairing(9)) == math.factorial(9)
+        for g in (identity_pairing(9), h):
+            tracemalloc.start()
+            try:
+                delta_sum(f, 9, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20
 
 
 class TestConnectionMatrix:
