@@ -54,13 +54,7 @@ from .diagrams import (
     validate,
     vertexless_loop,
 )
-from .enumeration import (
-    enumerate_fixed_diagrams,
-    enumerate_matchings,
-    matching_diagram,
-    matching_glue,
-    random_diagram_corpus,
-)
+from .enumeration import enumerate_fixed_diagrams, random_diagram_corpus
 from .evaluation import (
     DenseTensor,
     TableBacked,

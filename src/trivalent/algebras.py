@@ -14,9 +14,12 @@ force complex floats through the square roots in orthonormalization.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
+import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 
@@ -65,6 +68,23 @@ def _integer(x):
     return int(x)
 
 
+@functools.cache
+def _schema_keys(kind):
+    """(required, allowed) top-level keys of the shipped `kind` schema."""
+    text = resources.files(__package__).joinpath(f"schemas/{kind}.schema.json").read_text()
+    schema = json.loads(text)
+    return frozenset(schema["required"]), frozenset(schema["properties"])
+
+
+def _check_keys(obj, kind):
+    """Refuse a JSON object that lacks a key the `kind` schema requires or has
+    one it does not allow, as the schema does."""
+    required, allowed = _schema_keys(kind)
+    if not required <= obj.keys() <= allowed:
+        raise KeyError(f"{kind} keys {sorted(obj)}: {sorted(required)} required, "
+                       f"{sorted(allowed)} allowed")
+
+
 def _dtype(backend):
     return object if backend == RATIONAL else complex
 
@@ -79,10 +99,6 @@ def _array(entries, backend):
 
 def zeros_array(shape, backend):
     return np.zeros(shape, dtype=_dtype(backend))
-
-
-def eye_array(n, backend):
-    return np.eye(n, dtype=_dtype(backend))
 
 
 def max_abs(arr):
@@ -229,11 +245,6 @@ class MetricLieAlgebra:
         if abs(det) < 1e-12 * self._scale() ** self.dim:
             raise DegenerateForm(f"gram determinant {det}")
 
-    def killing_gram(self):
-        """K(u_i,u_j) = tr(ad u_i ad u_j), computed from the bracket constants."""
-        # (ad u_i)_{k j} = B[i,j,k];  K_ij = sum_{k,l} B[i,l,k] B[j,k,l]
-        return np.einsum("ilk,jkl->ij", self.bracket, self.bracket)
-
 
 def orthonormalize(g: MetricLieAlgebra) -> StructureTensor:
     """Structure tensor on a computed orthonormal basis of the form.
@@ -366,23 +377,6 @@ def gl_n_trace(n: int) -> StructureTensor:
     return orthonormalize(gl_algebra(n))
 
 
-def so3_algebra() -> MetricLieAlgebra:
-    """so(3) as bracket data with the identity gram (already orthonormal)."""
-    return MetricLieAlgebra(3, so3_eps().entries, eye_array(3, RATIONAL),
-                            backend=RATIONAL)
-
-
-def sl2_algebra_killing() -> MetricLieAlgebra:
-    """sl(2) in the basis {H, E, F} with the Killing form as gram."""
-    br = zeros_array((3, 3, 3), RATIONAL)
-    # [H,E]=2E, [H,F]=-2F, [E,F]=H   (H=0, E=1, F=2)
-    br[0, 1, 1], br[1, 0, 1] = 2, -2
-    br[0, 2, 2], br[2, 0, 2] = -2, 2
-    br[1, 2, 0], br[2, 1, 0] = 1, -1
-    alg = MetricLieAlgebra(3, br, eye_array(3, RATIONAL), backend=RATIONAL, check=False)
-    return MetricLieAlgebra(3, br, alg.killing_gram(), backend=RATIONAL)
-
-
 # ---------------------------------------------------------------------------
 # random tensors and JSON
 # ---------------------------------------------------------------------------
@@ -420,6 +414,7 @@ def tensor_to_json_dict(c: StructureTensor) -> dict:
 
 
 def tensor_from_json_dict(obj) -> StructureTensor:
+    _check_keys(obj, "tensor")
     dim = _integer(obj["dim"])
     backend = obj["backend"]
     ent = zeros_array((dim, dim, dim), backend)

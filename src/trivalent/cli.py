@@ -77,9 +77,10 @@ def _load_json(path, parse):
 def _weights_from_json_dict(obj):
     if "loop_value" not in obj:
         return TensorBacked(algebras.tensor_from_json_dict(obj))
+    algebras._check_keys(obj, "table")
     backend = obj.get("backend", RATIONAL)
     table = {bytes.fromhex(ent["code"]): _parse_value(ent["value"], backend)
-             for ent in obj.get("entries", [])}
+             for ent in obj["entries"]}
     return TableBacked(_parse_value(obj["loop_value"], backend), table, backend)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import _integer
+from .algebras import _check_keys, _integer
 from .errors import (
     BadIndex,
     BadLegRange,
@@ -565,15 +565,15 @@ def to_json_dict(d: FixedDiagram) -> dict:
 
 
 def from_json_dict(obj) -> FixedDiagram:
-    if not isinstance(obj.get("legs_map", {}), dict):
+    _check_keys(obj, "diagram")
+    if not isinstance(obj["legs_map"], dict):
         raise TypeError(f"legs_map is not a JSON object: {obj['legs_map']!r}")
-    legs = {int(lab): h for lab, h in obj.get("legs_map", {}).items()}
-    d = FixedDiagram(vertices=obj.get("vertices", ()),
-                     legs=legs,
-                     edges=obj.get("edges", ()),
-                     loop_count=_integer(obj.get("loop_count", 0)))
-    if d.num_legs != _integer(obj.get("legs", d.num_legs)):
-        raise BadLegRange(obj.get("legs"), d.num_legs)
+    d = FixedDiagram(vertices=obj["vertices"],
+                     legs={int(lab): h for lab, h in obj["legs_map"].items()},
+                     edges=obj["edges"],
+                     loop_count=_integer(obj["loop_count"]))
+    if d.num_legs != _integer(obj["legs"]):
+        raise BadLegRange(obj["legs"], d.num_legs)
     return d
 
 

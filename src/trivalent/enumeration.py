@@ -21,16 +21,7 @@ import itertools
 import math
 import random
 
-from .diagrams import (
-    DiagramCorpus,
-    FixedDiagram,
-    _pack,
-    _rival_below,
-    _slots_diagram,
-    canonical_form,
-    glue,
-    tri_star,
-)
+from .diagrams import DiagramCorpus, _pack, _rival_below, _slots_diagram, canonical_form
 from .errors import TooLarge
 
 #: cap on the components generated, and on the classes of one corpus
@@ -172,33 +163,6 @@ def _build(k, parts, code):
     d = _slots_diagram(base // 3, k, slot_pairs())
     d._code = code
     return d
-
-
-def _matchings(labels):
-    if not labels:
-        yield ()
-    for j in range(1, len(labels)):
-        for rest in _matchings(labels[1:j] + labels[j + 1:]):
-            yield ((labels[0], labels[j]),) + rest
-
-
-def enumerate_matchings(m: int):
-    """All perfect matchings on [m] (1-based pairs), lexicographic order."""
-    if m % 2:
-        raise TooLarge(f"[{m}] has no perfect matching")
-    if double_factorial(m - 1) > 10 ** 6:
-        raise TooLarge(f"(m-1)!! = {double_factorial(m - 1)} exceeds the guard")
-    return list(_matchings(tuple(range(1, m + 1))))
-
-
-def matching_diagram(matching, m: int) -> FixedDiagram:
-    """The m-legged diagram whose edges pair legs as the matching does."""
-    return _slots_diagram(0, m, [(a - 1, b - 1) for a, b in matching])
-
-
-def matching_glue(matching, k: int) -> FixedDiagram:
-    """Glue a perfect matching on [3k] with the k-fold star diagram."""
-    return glue(matching_diagram(matching, 3 * k), tri_star(k))
 
 
 def random_diagram_corpus(k: int, count: int, max_vertices: int, seed: int,

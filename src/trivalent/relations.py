@@ -14,7 +14,7 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,34 +181,45 @@ def delta_check(f, k: int, hs, tol=0, seed=None):
 
 @dataclass
 class ConnectionMatrix:
-    """The matrix is `values` over one denominator `den`, Python ints when exact;
-    Gram rows give den = s**(2 Vmax), s = D or a complex unit phase."""
+    """M is `values` over one denominator `den`, Python ints when exact.  If
+    `factored`, `rows` is A, M = A A^T and rank A = rank M (see `_gram`); else M."""
 
     legs: int
     corpus: DiagramCorpus
     backend: str
-    values: list
+    rows: list | np.ndarray
     den: int | complex
+    factored: bool
+
+    @property
+    def values(self):  # a factor is multiplied out on demand, under MAX_ENTRIES
+        if self.factored:
+            _bound("the connection matrix", len(self.rows), len(self.rows))
+            return self.rows.dot(self.rows.T).tolist()
+        return self.rows
 
     @property
     def entries(self):
         return [[algebras.as_scalar(v, self.backend) / self.den for v in row] for row in self.values]
 
 
+def _bound(what, rows, cols):
+    if rows * cols > evaluation.MAX_ENTRIES:
+        raise TooLarge(f"{what} needs {rows} x {cols} = {rows * cols} entries, over MAX_ENTRIES")
+
+
 def connection_matrix(f, corpus: DiagramCorpus) -> ConnectionMatrix:
     """Matrix of f-values of pairwise gluings of the corpus diagrams.
 
-    Tensor-backed, it is A A^T by the gluing duality f(glue(g, h)) =
-    <Z(g), Z(h)>, row g of A the open evaluation Z(g), if A fits in
-    MAX_ENTRIES.  Otherwise each unordered pair is glued and evaluated once.
-    """
+    Tensor-backed, nothing is glued: it is A A^T by the gluing duality, row g
+    of A the open value Z(g).  A is kept unless complex128, whose isotropic
+    rows can drop the rank.  Table-backed, each unordered pair is glued once."""
+    if isinstance(f, TensorBacked):
+        cm = ConnectionMatrix(corpus.legs, corpus, f.backend, *_gram(f.tensor, corpus), True)
+        return cm if np.isrealobj(f.tensor.scaled[1]) else replace(cm, rows=cm.values,
+                                                                   factored=False)
     items = list(corpus)
-    if items and isinstance(f, TensorBacked) and (
-            len(items) * f.tensor.dim ** corpus.legs <= evaluation.MAX_ENTRIES):
-        try:
-            return ConnectionMatrix(corpus.legs, corpus, f.backend, *_gram(f.tensor, items))
-        except TooLarge:  # a row's contraction is over the limit: glue instead
-            pass
+    _bound("the connection matrix", len(items), len(items))
     values, den = [[None] * len(items) for _ in items], 1
     for i, g in enumerate(items):
         for j in range(i, len(items)):  # glue(g, h) and glue(h, g) are one diagram
@@ -216,16 +227,18 @@ def connection_matrix(f, corpus: DiagramCorpus) -> ConnectionMatrix:
     if f.backend == RATIONAL:
         den = math.lcm(*(x.denominator for row in values for x in row))
         values = [[x.numerator * (den // x.denominator) for x in row] for row in values]
-    return ConnectionMatrix(corpus.legs, corpus, f.backend, values, den)
+    return ConnectionMatrix(corpus.legs, corpus, f.backend, values, den, False)
 
 
-def _gram(c: StructureTensor, items):
-    """(A A^T, its denominator s**(2 Vmax)): row g of A is g's scaled open
-    value times s**(Vmax - V), ints when exact; a complex s is a unit phase."""
-    s, vmax = c.scaled[0], max(g.num_vertices for g in items)
+def _gram(c: StructureTensor, corpus):
+    """(A, s**(2 Vmax)): row g of A is g's scaled open value times s**(Vmax - V),
+    ints when exact, s a unit phase when complex.  Over MAX_ENTRIES, `TooLarge` first."""
+    items, width = list(corpus), c.dim ** corpus.legs
+    _bound("the factor", len(items), width)
+    s, vmax = c.scaled[0], max((g.num_vertices for g in items), default=0)
     a = np.array([evaluation._scaled_open(c, g).reshape(-1) * s ** (vmax - g.num_vertices)
                   for g in items], dtype=algebras._dtype(c.backend))
-    return a.dot(a.T).tolist(), s ** (2 * vmax)
+    return a.reshape(len(items), width), s ** (2 * vmax)
 
 
 def _rank_fraction_free(rows):
@@ -253,20 +266,21 @@ def _rank_fraction_free(rows):
     return r
 
 
-def _rank_svd(rows):
+def _rank_svd(rows, tol=SVD_REL_TOL):
     a = np.asarray(rows, dtype=complex)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > SVD_REL_TOL * s[0]))
+    return int(np.sum(s > tol * s[0]))
 
 
 def rank(m: ConnectionMatrix) -> int:
     if m.backend == RATIONAL:
-        return _rank_fraction_free(m.values)
-    return _rank_svd(m.values)
+        return _rank_fraction_free(m.rows)
+    # A's singular values are the square roots of M's
+    return _rank_svd(m.rows, SVD_REL_TOL ** (0.5 if m.factored else 1))
 
 
 # ---------------------------------------------------------------------------

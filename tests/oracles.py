@@ -1,15 +1,20 @@
-"""Reference implementations the tests compare the program against.
+"""Reference implementations and fixtures the tests compare the program against.
 
 They are kept simple rather than fast: the signed permutation sum term by
-term, and the per-permutation walk that groups the permutations by the
-glued diagram they give.
+term, the per-permutation walk that groups the permutations by the glued
+diagram they give, the walk over perfect matchings that orderly generation
+replaced, and metric Lie algebras given as bracket data for `orthonormalize`.
 """
 
 import itertools
 
-from trivalent import glue, permutation_diagram
-from trivalent.algebras import zero
-from trivalent.diagrams import _leg_label_map
+import numpy as np
+
+from trivalent import glue, permutation_diagram, so3_eps, tri_star
+from trivalent.algebras import RATIONAL, MetricLieAlgebra, _dtype, zero, zeros_array
+from trivalent.diagrams import _leg_label_map, _slots_diagram
+from trivalent.enumeration import double_factorial
+from trivalent.errors import TooLarge
 
 
 def permutation_sign(pi):
@@ -62,3 +67,57 @@ def delta_outcomes_by_walk(k, h):
                 key.append(255 if chord[b] >= 0 else b)
         outcomes.setdefault(bytes(key), [0, pi])[0] += sign
     return [(count, tuple(j - k + 1 for j in pi)) for count, pi in outcomes.values()]
+
+
+def _matchings(labels):
+    if not labels:
+        yield ()
+    for j in range(1, len(labels)):
+        for rest in _matchings(labels[1:j] + labels[j + 1:]):
+            yield ((labels[0], labels[j]),) + rest
+
+
+def enumerate_matchings(m: int):
+    """All perfect matchings on [m] (1-based pairs), lexicographic order."""
+    if m % 2:
+        raise TooLarge(f"[{m}] has no perfect matching")
+    if double_factorial(m - 1) > 10 ** 6:
+        raise TooLarge(f"(m-1)!! = {double_factorial(m - 1)} exceeds the guard")
+    return list(_matchings(tuple(range(1, m + 1))))
+
+
+def matching_diagram(matching, m: int):
+    """The m-legged diagram whose edges pair legs as the matching does."""
+    return _slots_diagram(0, m, [(a - 1, b - 1) for a, b in matching])
+
+
+def matching_glue(matching, k: int):
+    """Glue a perfect matching on [3k] with the k-fold star diagram."""
+    return glue(matching_diagram(matching, 3 * k), tri_star(k))
+
+
+def eye_array(n, backend):
+    return np.eye(n, dtype=_dtype(backend))
+
+
+def killing_gram(alg: MetricLieAlgebra):
+    """K(u_i,u_j) = tr(ad u_i ad u_j), computed from the bracket constants."""
+    # (ad u_i)_{k j} = B[i,j,k];  K_ij = sum_{k,l} B[i,l,k] B[j,k,l]
+    return np.einsum("ilk,jkl->ij", alg.bracket, alg.bracket)
+
+
+def so3_algebra() -> MetricLieAlgebra:
+    """so(3) as bracket data with the identity gram (already orthonormal)."""
+    return MetricLieAlgebra(3, so3_eps().entries, eye_array(3, RATIONAL),
+                            backend=RATIONAL)
+
+
+def sl2_algebra_killing() -> MetricLieAlgebra:
+    """sl(2) in the basis {H, E, F} with the Killing form as gram."""
+    br = zeros_array((3, 3, 3), RATIONAL)
+    # [H,E]=2E, [H,F]=-2F, [E,F]=H   (H=0, E=1, F=2)
+    br[0, 1, 1], br[1, 0, 1] = 2, -2
+    br[0, 2, 2], br[2, 0, 2] = -2, 2
+    br[1, 2, 0], br[2, 1, 0] = 1, -1
+    alg = MetricLieAlgebra(3, br, eye_array(3, RATIONAL), backend=RATIONAL, check=False)
+    return MetricLieAlgebra(3, br, killing_gram(alg), backend=RATIONAL)

@@ -66,7 +66,8 @@ class TestEval:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv,text", [
-        (["canon", "--graph"], '{"loop_count": 1e400}'),
+        (["canon", "--graph"], '{"legs": 0, "loop_count": 1e400, "vertices": [], '
+                               '"legs_map": {}, "edges": []}'),
         (["rank", "--legs", "0", "--max-vertices", "0", "--weights"],
          '{"backend": "rational", "loop_value": 1e400, "entries": []}'),
         (["eval", "--graph", "builtin:theta", "--algebra"],
@@ -83,9 +84,10 @@ class TestEval:
         (["eval", "--graph", "builtin:theta", "--algebra"],
          '{"dim": 3, "backend": "rational", "entries": '
          '[[0, 1, 2, 2.5, 1], [1, 2, 0, 2.5, 1], [2, 0, 1, 2.5, 1]]}'),
-        (["eval", "--algebra", "so3", "--graph"], '{"loop_count": 1.5}'),
-        (["canon", "--graph"], '{"legs": 2.5, "legs_map": {"1": "a", "2": "b"}, '
-                               '"edges": [["a", "b"]]}'),
+        (["eval", "--algebra", "so3", "--graph"], '{"legs": 0, "loop_count": 1.5, '
+                                                  '"vertices": [], "legs_map": {}, "edges": []}'),
+        (["canon", "--graph"], '{"legs": 2.5, "loop_count": 0, "vertices": [], '
+                               '"legs_map": {"1": "a", "2": "b"}, "edges": [["a", "b"]]}'),
         (["rank", "--legs", "0", "--max-vertices", "0", "--weights"],
          '{"backend": "rational", "loop_value": [2.5, 1], "entries": []}'),
     ], ids=["graph_1e400", "table_1e400", "tensor_zero_denominator", "table_zero_denominator",
@@ -100,7 +102,9 @@ class TestEval:
         assert code == 2 and not out and err.startswith(f"error: {p}: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("text", ["[1]", "3", "null", '"theta"', '{"legs_map": [1]}'])
+    @pytest.mark.parametrize("text", ["[1]", "3", "null", '"theta"', '{"legs_map": [1]}',
+                                      '{"legs": 0, "loop_count": 0, "vertices": [], '
+                                      '"legs_map": [1], "edges": []}'])
     def test_graph_file_not_an_object_is_usage_error(self, capsys, tmp_path, text):
         p = tmp_path / "arr.json"
         p.write_text(text)
@@ -325,6 +329,26 @@ class TestRank:
                            "--max-vertices", "2", "--max-corpus", "4", "--json")
         assert code == 0 and json.loads(out)["params"]["corpus"] == 4
 
+    @pytest.mark.parametrize("weights", ["so3", "sl2k"])
+    def test_rank_of_the_factor_forms_no_matrix(self, capsys, monkeypatch, weights):
+        # a rational, and a complex tensor real up to its phase, rank their factor A,
+        # 101 x 9, so a limit just below the 101 x 101 matrix changes nothing
+        argv = ["rank", "--weights", weights, "--legs", "2", "--max-vertices", "4", "--json"]
+        code, expect, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(expect)["params"]["corpus"] == 101
+        monkeypatch.setattr("trivalent.evaluation.MAX_ENTRIES", 101 * 101 - 1)
+        assert run(capsys, *argv) == (0, expect, "")
+
+    def test_table_matrix_over_the_limit_exits_2_before_gluing(self, capsys, tmp_path,
+                                                               monkeypatch):
+        p = tmp_path / "table.json"
+        p.write_text(json.dumps({"backend": "rational", "loop_value": 2, "entries": []}))
+        monkeypatch.setattr("trivalent.evaluation.MAX_ENTRIES", 3 * 3 - 1)
+        monkeypatch.setattr("trivalent.relations.glue", None)  # a gluing would exit 3
+        code, out, err = run(capsys, "rank", "--weights", str(p), "--legs", "0",
+                             "--max-vertices", "2")
+        assert code == 2 and not out and "needs 3 x 3 = 9 entries" in err
+
     def test_table_weights(self, capsys, tmp_path):
         from trivalent import flip_vertex
         table = {
@@ -402,3 +426,40 @@ class TestGenEnumCanon:
         p = tmp_path / "sl2k.json"
         run(capsys, "gen", "--algebra", "sl2k", "--out", str(p))
         jsonschema.validate(json.loads(p.read_text()), schema("tensor.schema.json"))
+
+
+class TestInputContract:
+    """A loader refuses the top-level keys its shipped schema refuses."""
+
+    @pytest.mark.parametrize("kind,argv,obj", [
+        ("diagram", ["canon", "--graph"],
+         {k: v for k, v in to_json_dict(theta()).items() if k != "legs"}),
+        ("diagram", ["canon", "--graph"], {**to_json_dict(theta()), "name": "theta"}),
+        ("table", ["rank", "--legs", "0", "--max-vertices", "0", "--weights"],
+         {"backend": "rational", "loop_value": 3}),
+        ("table", ["rank", "--legs", "0", "--max-vertices", "0", "--weights"],
+         {"backend": "rational", "loop_value": 3, "entries": [], "name": "t"}),
+        ("tensor", ["eval", "--graph", "builtin:theta", "--algebra"],
+         {**tensor_to_json_dict(so3_eps()), "name": "so3"}),
+    ], ids=["diagram_without_legs", "diagram_extra_key", "table_without_entries",
+            "table_extra_key", "tensor_extra_key"])
+    def test_schema_refusals_exit_2(self, capsys, tmp_path, kind, argv, obj):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(obj, schema(f"{kind}.schema.json"))
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *argv, str(p))
+        assert code == 2 and not out and err.startswith(f"error: {p}: ")
+        assert "Traceback" not in err
+
+    def test_written_files_load(self, capsys, tmp_path):
+        out_dir = tmp_path / "corpus"
+        assert run(capsys, "enum", "--legs", "2", "--max-vertices", "2",
+                   "--out", str(out_dir))[0] == 0
+        index = json.loads((out_dir / "index.json").read_text())
+        for name, code in zip(index["files"], index["codes"]):
+            assert run(capsys, "canon", "--graph", str(out_dir / name)) == (0, code, "")
+        p = tmp_path / "so4.json"
+        assert run(capsys, "gen", "--algebra", "so:4", "--out", str(p))[0] == 0
+        assert run(capsys, "eval", "--algebra", str(p), "--graph", "builtin:theta") == \
+            (0, "-24", "")

@@ -9,10 +9,7 @@ from trivalent import (
     are_isomorphic,
     canonical_form,
     enumerate_fixed_diagrams,
-    enumerate_matchings,
     flip_vertex,
-    matching_diagram,
-    matching_glue,
     partition_function,
     random_diagram_corpus,
     so3_eps,
@@ -22,6 +19,8 @@ from trivalent import (
 from trivalent import enumeration
 from trivalent.enumeration import double_factorial
 from trivalent.errors import TooLarge
+
+from oracles import enumerate_matchings, matching_diagram, matching_glue
 
 
 def _matchings_rotation_pruned(v, k):

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trivalent import (
@@ -21,10 +22,12 @@ from trivalent import (
     connection_matrix,
     delta_check,
     delta_sum,
+    direct_sum,
     direct_sum_additivity_check,
     disjoint_union,
     enumerate_fixed_diagrams,
     flip_vertex,
+    gl_n_trace,
     glue,
     identity_pairing,
     ihx_residual,
@@ -389,6 +392,12 @@ def _cyclic_with_denominators(n, seed):
                            "rational", check=False)
 
 
+def _mixed_phases():
+    """so(3) at two phases, e^(0.6i) and that of sl(2)'s Killing form: a complex
+    tensor not real up to one phase, so it contracts in complex128."""
+    return direct_sum(scale_tensor(so3_eps().to_complex(), cmath.exp(0.6j)), sl2_killing())
+
+
 #: (legs, max vertices, corpus cap) for the factored-against-glued comparisons
 CORPORA = ((0, 4, None), (1, 3, None), (2, 3, None), (3, 3, 24))
 
@@ -491,26 +500,38 @@ class TestFactoredConnectionMatrix:
         assert all(type(x) is Fraction for x in values)
         assert connection_matrix(t, corpus).entries == ref
 
-    @pytest.mark.parametrize("make", [so3_eps, sl2_killing])
-    def test_over_entry_limit_glues(self, monkeypatch, make):
-        c = make()
+    def test_factor_over_the_limit_raises_before_any_row(self, monkeypatch):
         corpus = _corpus(3, 3, 24)
-        factored = connection_matrix(TensorBacked(c), corpus).entries
-        monkeypatch.setattr(evaluation, "MAX_ENTRIES", len(corpus) * c.dim ** 3 - 1)
-        monkeypatch.setattr(relations, "open_partition_function", None)  # must not be used
-        assert connection_matrix(TensorBacked(c), corpus).entries == \
-            _glued_matrix(TensorBacked(c), corpus)
-        if c.backend == "rational":
-            assert connection_matrix(TensorBacked(c), corpus).entries == factored
+        monkeypatch.setattr(evaluation, "MAX_ENTRIES", len(corpus) * 27 - 1)
+        monkeypatch.setattr(evaluation, "_scaled_open", None)  # no row may be built
+        with pytest.raises(TooLarge, match=f"factor needs 24 x 27 = {24 * 27} entries"):
+            connection_matrix(TensorBacked(so3_eps()), corpus)
 
-    def test_row_over_entry_limit_glues(self, monkeypatch):
+    def test_row_over_the_limit_propagates(self, monkeypatch):
         def too_large(c, g):
             raise TooLarge("row contraction over the limit")
 
-        f = TensorBacked(so3_eps())
-        corpus = _corpus(2, 3, None)
-        monkeypatch.setattr(relations, "open_partition_function", too_large)
-        assert connection_matrix(f, corpus).entries == _glued_matrix(f, corpus)
+        monkeypatch.setattr(evaluation, "_scaled_open", too_large)
+        with pytest.raises(TooLarge, match="row contraction over the limit"):
+            connection_matrix(TensorBacked(so3_eps()), _corpus(2, 3, None))
+
+    @pytest.mark.parametrize("make", [so3_eps, lambda: _cyclic_with_denominators(3, 7),
+                                      sl2_killing, _mixed_phases],
+                             ids=["so3_eps", "cyclic_denominators", "sl2_killing",
+                                  "mixed_phases"])
+    def test_tensor_backed_never_glues(self, monkeypatch, make):
+        monkeypatch.setattr(relations, "glue", None)  # a gluing would raise TypeError
+        for spec in CORPORA:
+            cm = connection_matrix(TensorBacked(make()), _corpus(*spec))
+            assert len(cm.entries) == len(cm.corpus) >= rank(cm)
+
+    def test_values_over_the_limit(self, monkeypatch):
+        corpus = _corpus(2, 4, None)
+        cm = connection_matrix(TensorBacked(so3_eps()), corpus)
+        assert len(corpus) == 101 and cm.factored
+        monkeypatch.setattr(evaluation, "MAX_ENTRIES", 101 * 101 - 1)
+        with pytest.raises(TooLarge, match="101 x 101 = 10201 entries"):
+            cm.values
 
     def test_empty_corpus(self):
         cm = connection_matrix(TensorBacked(so3_eps()), DiagramCorpus.from_diagrams(1, []))
@@ -634,6 +655,58 @@ class TestIntegerConnectionMatrix:
         assert cm.values == before
 
 
+class TestRankFromTheFactor:
+    """`rank` reads the factor A, never M; the glued M is the independent check."""
+
+    @staticmethod
+    def _rank_of_factor(monkeypatch, f, corpus):
+        cm = connection_matrix(f, corpus)
+        assert cm.factored and len(cm.rows) == len(corpus)
+        monkeypatch.setattr(relations.ConnectionMatrix, "values", None)  # M is never formed
+        return rank(cm)
+
+    @pytest.mark.parametrize("make", [so3_eps, lambda: so_n_rational(4),
+                                      lambda: random_structure_tensor(3, seed=5),
+                                      lambda: _cyclic_with_denominators(3, 5)],
+                             ids=["so3_eps", "so_4", "random", "cyclic_denominators"])
+    @pytest.mark.parametrize("legs,seed", [(0, 1), (1, 2), (2, 3), (3, 4)])
+    def test_rational_against_bareiss_on_glued(self, monkeypatch, make, legs, seed):
+        f = TensorBacked(make())
+        corpus = random_diagram_corpus(legs, 30, 5, seed=seed)
+        glued = _glued_matrix(f, corpus)
+        den = math.lcm(*(x.denominator for row in glued for x in row))
+        expect = _rank_fraction_free([[int(x * den) for x in row] for row in glued])
+        assert self._rank_of_factor(monkeypatch, f, corpus) == expect
+
+    @pytest.mark.parametrize("make", [lambda: random_structure_tensor(3, seed=5),
+                                      lambda: _cyclic_with_denominators(3, 5)],
+                             ids=["random", "cyclic_denominators"])
+    def test_rational_rank_above_one(self, monkeypatch, make):
+        f = TensorBacked(make())
+        corpus = random_diagram_corpus(2, 30, 5, seed=3)
+        assert self._rank_of_factor(monkeypatch, f, corpus) > 1
+
+    @pytest.mark.parametrize("make", [lambda: sl_n_trace(3), lambda: gl_n_trace(2), sl2_killing,
+                                      lambda: scale_tensor(so3_eps().to_complex(),
+                                                           cmath.exp(0.6j))],
+                             ids=["sl_3_trace", "gl_2_trace", "sl2_killing", "so3_phase_0.6"])
+    @pytest.mark.parametrize("legs,max_vertices,cap", CORPORA + ((4, 2, None),))
+    def test_complex_svd_of_the_factor(self, monkeypatch, make, legs, max_vertices, cap):
+        c = make()
+        assert c.scaled[1].dtype == float
+        corpus = _corpus(legs, max_vertices, cap)
+        expect = _rank_svd(_glued_matrix(TensorBacked(c), corpus))
+        assert self._rank_of_factor(monkeypatch, TensorBacked(c), corpus) == expect
+
+    def test_complex128_keeps_the_matrix(self):
+        c = _mixed_phases()
+        assert c.scaled[1].dtype == complex
+        corpus = _corpus(2, 3, None)
+        cm = connection_matrix(TensorBacked(c), corpus)
+        assert not cm.factored and len(cm.rows) == len(cm.rows[0]) == len(corpus)
+        assert rank(cm) == _rank_svd(_glued_matrix(TensorBacked(c), corpus))
+
+
 class TestRankKernels:
     def test_fraction_free_small(self):
         assert _rank_fraction_free([[1, 2], [2, 4]]) == 1
@@ -654,6 +727,11 @@ class TestRankKernels:
     def test_svd_threshold(self):
         assert _rank_svd([[1, 0], [0, 1e-12]]) == 1
         assert _rank_svd([[1, 0], [0, 1]]) == 2
+
+    def test_factor_threshold_is_the_square_root(self):
+        # singular values 1 and 1e-6 of A are 1 and 1e-12 of M = A A^T
+        cm = relations.ConnectionMatrix(2, None, "complex", np.diag([1, 1e-6 + 0j]), 1, True)
+        assert rank(cm) == _rank_svd(cm.values) == 1
 
 
 class TestNormalization:
