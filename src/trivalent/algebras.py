@@ -69,19 +69,24 @@ def _integer(x):
 
 
 @functools.cache
-def _schema_keys(kind):
-    """(required, allowed) top-level keys of the shipped `kind` schema."""
+def _schema_keys(kind, item=None):
+    """(required, allowed) keys of the shipped `kind` schema, or of the items
+    of its array property `item`."""
     text = resources.files(__package__).joinpath(f"schemas/{kind}.schema.json").read_text()
     schema = json.loads(text)
+    if item:
+        schema = schema["properties"][item]["items"]
     return frozenset(schema["required"]), frozenset(schema["properties"])
 
 
-def _check_keys(obj, kind):
-    """Refuse a JSON object that lacks a key the `kind` schema requires or has
-    one it does not allow, as the schema does."""
-    required, allowed = _schema_keys(kind)
+def _check_keys(obj, kind, item=None):
+    """Refuse a JSON object that lacks a key the `kind` schema (or its `item`
+    entries) requires or has one it does not allow, as the schema does."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, not {obj!r}")
+    required, allowed = _schema_keys(kind, item)
     if not required <= obj.keys() <= allowed:
-        raise KeyError(f"{kind} keys {sorted(obj)}: {sorted(required)} required, "
+        raise KeyError(f"{item or kind} keys {sorted(obj)}: {sorted(required)} required, "
                        f"{sorted(allowed)} allowed")
 
 

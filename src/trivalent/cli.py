@@ -79,6 +79,8 @@ def _weights_from_json_dict(obj):
         return TensorBacked(algebras.tensor_from_json_dict(obj))
     algebras._check_keys(obj, "table")
     backend = obj.get("backend", RATIONAL)
+    for ent in obj["entries"]:
+        algebras._check_keys(ent, "table", "entries")
     table = {bytes.fromhex(ent["code"]): _parse_value(ent["value"], backend)
              for ent in obj["entries"]}
     return TableBacked(_parse_value(obj["loop_value"], backend), table, backend)
@@ -157,10 +159,14 @@ def cmd_check(args):
 def cmd_delta(args):
     f = load_weights(args.algebra)
     k = args.k
-    tol = args.tol if args.tol is not None else (0 if f.backend == RATIONAL else algebras.TOL)
+    # an explicit --tol is absolute; by default each sum is held to TOL (0 when
+    # exact) times the size of the terms that cancel in it
+    relative = args.tol is None
+    tol = args.tol if not relative else 0 if f.backend == RATIONAL else algebras.TOL
     if args.h == "builtin:pid":
-        val = relations.delta_sum(f, k, diagrams.identity_pairing(k))
-        report = relations.check_report("delta", {"k": k, "h": "builtin:pid"}, abs(val), tol)
+        val, bound, scale = relations.delta_bound(f, k, diagrams.identity_pairing(k), tol, relative)
+        params = {"k": k, "h": "builtin:pid", "tol": float(bound), "scale": float(scale)}
+        report = relations.check_report("delta", params, abs(val), bound)
         _emit(report, format_scalar(val), args)
         return 0 if report["pass"] else 1
     if args.corpus is None:
@@ -170,7 +176,7 @@ def cmd_delta(args):
     corpus = enumeration.random_diagram_corpus(2 * k, args.corpus, args.max_vertices,
                                                args.seed)
     hs = list(corpus) + [diagrams.identity_pairing(k)]
-    report = relations.delta_check(f, k, hs, tol=tol, seed=args.seed)
+    report = relations.delta_check(f, k, hs, tol, args.seed, relative)
     return _emit_report(report, args)
 
 

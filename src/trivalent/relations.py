@@ -10,8 +10,6 @@ additivity on connected diagrams.
 
 from __future__ import annotations
 
-import collections
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -28,13 +26,13 @@ from .diagrams import (
     edge_connected_sum,
     glue,
     ihx_element,
-    permutation_diagram,
     _leg_label_map,
     _vertex_of,
 )
 from .errors import LegCountMismatch, TooLarge, ZeroDimension
 from .evaluation import TensorBacked, open_partition_function, partition_function
 
+#: an h with more delta outcomes p! (q + 1) than this raises `TooLarge` at once
 DELTA_GUARD = 10 ** 6
 #: singular values at or below this fraction of the largest count as zero
 SVD_REL_TOL = 1e-8
@@ -68,84 +66,74 @@ def ihx_residual(c: StructureTensor):
 # signed permutation sums
 # ---------------------------------------------------------------------------
 
-#: join-table rows per array pass: faster than larger blocks, with small work arrays
-_BLOCK = 720
-
-
-@functools.lru_cache(maxsize=1)
-def _join_table(k: int):
-    """(J, even, odd): row r of the k! x 2k int8 array J joins legs i and
-    pi(i) both ways, pi the r-th permutation of k..2k-1 in `itertools` order;
-    the bytes masks `even` and `odd` mark the rows by the sign of pi."""
-    p, odd = np.zeros((1, 0), np.int8), np.zeros(1, bool)
-    for n in range(1, k + 1):  # j first, then the rest in order: j more inversions
-        p = np.concatenate([np.column_stack([np.full(len(p), j, np.int8), p + (p >= j)])
-                            for j in range(n)])
-        odd = np.concatenate([odd ^ bool(j % 2) for j in range(n)])
-    join = np.empty((len(p), 2 * k), np.int8)
-    join[:, :k] = p + k
-    np.put_along_axis(join, p + k, np.arange(k, dtype=np.int8), axis=1)
-    return join, (~odd).tobytes(), odd.tobytes()
-
-
 def _delta_outcomes(k: int, h: FixedDiagram):
-    """[(signed count, pi)] per glued diagram P_pi with h, in the order of
-    the first pi (1-based, in `itertools.permutations` order) that gives it.
-
-    Gluing P_pi joins legs i and k+pi(i) of h.  Followed through h's
-    leg-to-leg edges ("chords"), the joins pair up h's legs at vertices and
-    close the rest into vertexless loops: that outcome is the glued diagram
-    itself.  All k! joins are followed at once, as rows of the join table.
+    """Yield (signed count, glued diagram) per diagram P_pi glued with h of a
+    nonzero count, in closed form (see the README): gluing P_pi joins top leg
+    i of h to bottom leg k+pi(i).  A chord (leg-to-leg edge of h) with both
+    ends on one side cancels every count.  Else p tops and p bottoms sit at
+    vertices, q = k - p tops carry chords, and phi maps the bottoms to the
+    tops (chord ends to partners, vertex legs in order).  An outcome is
+    (rho, l): rho the first return of phi o pi to the vertex tops, pairing the
+    vertex legs, and l the loops closed by the cycles inside the chord tops.
+    Its N(l) = sum_m C(q, m) p^(m) c(q - m, l) permutations share the sign
+    sgn(phi) sgn(rho) (-1)^(q - l) (c: unsigned Stirling numbers, first kind).
     """
     if h.num_legs != 2 * k:
         raise LegCountMismatch(f"h has {h.num_legs} legs, expected {2 * k}")
-    if math.factorial(k) > DELTA_GUARD:
-        raise TooLarge(f"{k}! permutations exceed the guard")
-    table, even, odd = _join_table(k)
     lab = _leg_label_map(h)
-    chord = np.array([lab[h.partner[d]] - 1 for d in h.legs], np.intp)  # leg, or -1 at a vertex
-    at_vertex, ends = np.flatnonzero(chord < 0), np.flatnonzero(chord >= 0)
-    chords = len(ends) // 2
-    compact = np.full(2 * k, len(ends), np.int8)  # chord legs in order; vertex legs: one sink
-    compact[ends] = np.arange(len(ends))
-    label = np.append(np.arange(len(ends), dtype=np.int8), np.int8(-1))
-    outcomes = {}  # key -> [signed count, first row that gives it]
-    for start in range(0, len(table), _BLOCK):
-        join = table[start:start + _BLOCK]
-        row = np.arange(len(join))[:, None]
-        step = join[:, np.maximum(chord, 0)]  # x -> join(chord(x)); legs at vertices stay
-        step[:, at_vertex] = at_vertex
-        flat = (step + row * (2 * k)).ravel()  # the same maps on flat indices
-        far = join[:, at_vertex] + row * (2 * k)
-        for _ in range(chords):
-            far = flat[far]
-        # loops by pointer doubling on the chord legs: each loop is two orbits
-        to = np.empty((len(join), len(ends) + 1), np.intp)
-        to[:, :-1], to[:, -1] = compact[step[:, ends]], len(ends)
-        to = (to + row * to.shape[1]).ravel()
-        low = np.tile(label, len(join))
-        for _ in range(chords.bit_length()):
-            low, to = np.minimum(low, low[to]), to[to]
-        loops = (low.reshape(len(join), -1)[:, :-1] == label[:-1]).sum(1) // 2
-        keys = np.column_stack([far - row * (2 * k), loops]).astype(np.int8, order="C")
-        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel().tolist()
-        plus = collections.Counter(itertools.compress(keys, even[start:start + _BLOCK]))
-        minus = collections.Counter(itertools.compress(keys, odd[start:start + _BLOCK]))
-        for key in dict.fromkeys(keys):
-            if key not in outcomes:
-                outcomes[key] = [0, start + keys.index(key)]
-            outcomes[key][0] += plus[key] - minus[key]
-    return [(count, tuple((table[r, :k] - (k - 1)).tolist())) for count, r in outcomes.values()]
+    chord = [lab[h.partner[d]] - 1 for d in h.legs]  # leg at the other end, or -1 at a vertex
+    if any(0 <= b and (a < k) == (b < k) for a, b in enumerate(chord)):
+        return
+    tops = [a for a in range(k) if chord[a] < 0]
+    bottoms = [b for b in range(k, 2 * k) if chord[b] < 0]
+    p, q = len(tops), k - len(tops)
+    if (outcomes := math.factorial(p) * (q + 1)) > DELTA_GUARD:
+        raise TooLarge(f"{outcomes} outcomes ({p}! x {q + 1}) exceed the guard")
+    phi = chord[k:]
+    for a, b in zip(tops, bottoms):
+        phi[b - k] = a
+    c = [[1]]  # c[n][j]: permutations of n elements with j cycles
+    for n in range(q):
+        c.append([n * x + y for x, y in zip(c[n] + [0], [0] + c[n])])
+    counts = [(-1) ** (q - ell) * sum(math.comb(q, m) * math.prod(range(p, p + m)) *
+                                      c[q - m][ell] for m in range(q - ell + 1))
+              for ell in range(q + 1)]
+    darts = [x for tri in h.vertices for x in tri]
+    slot = {x: i for i, x in enumerate(darts)}
+    base = [slot.get(h.partner[x], -1) for x in darts]  # -1 where the edge goes to a leg
+    at_top = [slot[h.partner[h.legs[a]]] for a in tops]
+    at_bottom = [slot[h.partner[h.legs[b]]] for b in bottoms]
+    vertices = tuple([(x, x + 1, x + 2) for x in range(0, len(darts), 3)])
+    parity = sum(a > b for a, b in itertools.combinations(phi, 2))
+    for rho in itertools.permutations(range(p)):
+        partner = list(base)
+        for t, r in zip(at_top, rho):
+            partner[t], partner[at_bottom[r]] = at_bottom[r], t
+        odd = sum((a > b for a, b in itertools.combinations(rho, 2)), parity)
+        partner = tuple(partner)
+        for ell, n in enumerate(counts):
+            if n:
+                yield (-1) ** odd * n, FixedDiagram._raw(vertices, (), partner, h.loop_count + ell)
 
 
 def delta_sum(f, k: int, h: FixedDiagram):
     """sum over permutations pi of sgn(pi) * f(P_pi glued with h), h 2k-legged.
 
-    f reads each distinct glued diagram once, zero sums included."""
-    total = algebras.zero(f.backend)
-    for count, pi in _delta_outcomes(k, h):
-        total = total + count * f.evaluate(glue(permutation_diagram(pi), h))
-    return total
+    f reads each glued diagram of a nonzero count once, and nothing when h
+    has a chord with both ends on one side."""
+    return sum((count * f.evaluate(g) for count, g in _delta_outcomes(k, h)),
+               algebras.zero(f.backend))
+
+
+def delta_bound(f, k: int, h: FixedDiagram, tol=0, relative=False):
+    """(sum, bound, scale) for one h: the signed sum passes when its size is
+    within `bound`, which is `tol` or, if `relative`, tol * scale, with scale
+    sum |count * f(outcome)| the size of the terms that cancel in it."""
+    total, scale = algebras.zero(f.backend), 0
+    for count, g in _delta_outcomes(k, h):
+        term = count * f.evaluate(g)
+        total, scale = total + term, scale + abs(term)
+    return total, tol * scale if relative else tol, scale
 
 
 def check_report(check, params, residual, tol, seed=None):
@@ -154,25 +142,24 @@ def check_report(check, params, residual, tol, seed=None):
             "residual": residual, "pass": residual <= tol}
 
 
-def delta_check(f, k: int, hs, tol=0, seed=None):
+def delta_check(f, k: int, hs, tol=0, seed=None, relative=False):
     """Run the signed permutation sum over a family of 2k-legged diagrams.
 
-    Returns a report dict; `pass` means every residual is within `tol`
-    (exact backends should be run with tol=0).
+    `pass` means every sum is within its `delta_bound` (exact backends
+    should be run with tol=0).  The report reads the h whose sum is largest
+    against its bound, failing ones first: its code, bound (`tol`) and `scale`.
     """
-    worst = None
-    worst_code = None
-    count = 0
+    worst, count = None, 0
     for h in hs:
-        r = abs(delta_sum(f, k, h))
-        count += 1
-        if worst is None or r > worst:
-            worst = r
-            worst_code = canonical_form(h).decode()
-    if worst is None:
-        worst = algebras.zero(f.backend)
-    return check_report("delta", {"k": k, "count": count, "tol": float(tol),
-                                  "worst": worst_code}, worst, tol, seed)
+        val, bound, scale = delta_bound(f, k, h, tol, relative)
+        r, count = abs(val), count + 1
+        key = (r > bound, r / bound if bound else r)
+        if worst is None or key > worst[0]:
+            worst = key, r, bound, scale, h
+    _, r, bound, scale, h = worst or (None, algebras.zero(f.backend), tol, 0, None)
+    code = None if h is None else canonical_form(h).decode()
+    return check_report("delta", {"k": k, "count": count, "tol": float(bound),
+                                  "scale": float(scale), "worst": code}, r, bound, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 They are kept simple rather than fast: the signed permutation sum term by
 term, the per-permutation walk that groups the permutations by the glued
-diagram they give, the walk over perfect matchings that orderly generation
-replaced, and metric Lie algebras given as bracket data for `orthonormalize`.
+diagram they give, the antisymmetrizer applied to an open value, the walk
+over perfect matchings that orderly generation replaced, and metric Lie
+algebras given as bracket data for `orthonormalize`.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from trivalent import glue, permutation_diagram, so3_eps, tri_star
 from trivalent.algebras import RATIONAL, MetricLieAlgebra, _dtype, zero, zeros_array
 from trivalent.diagrams import _leg_label_map, _slots_diagram
 from trivalent.enumeration import double_factorial
+from trivalent.evaluation import open_partition_function
 from trivalent.errors import TooLarge
 
 
@@ -67,6 +69,20 @@ def delta_outcomes_by_walk(k, h):
                 key.append(255 if chord[b] >= 0 else b)
         outcomes.setdefault(bytes(key), [0, pi])[0] += sign
     return [(count, tuple(j - k + 1 for j in pi)) for count, pi in outcomes.values()]
+
+
+def delta_by_antisymmetrizer(c, k, h):
+    """The signed sum for `TensorBacked(c)` from h's open value Z alone, never
+    gluing: the sum over colourings a of the top legs and permutations pi of
+    sgn(pi) Z[a, a o pi].  A colouring with a repeated colour cancels against
+    its transposition, so only injective ones are read: none when k > dim."""
+    z = open_partition_function(c, h).entries
+    a = np.array(list(itertools.permutations(range(c.dim), k)), np.intp).reshape(-1, k)
+    total = zero(c.backend)
+    if len(a):
+        for pi, sign in zip(itertools.permutations(range(k)), lexicographic_signs(k)):
+            total = total + sign * z[tuple(a.T) + tuple(a[:, pi].T)].sum()
+    return total
 
 
 def _matchings(labels):

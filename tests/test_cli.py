@@ -7,6 +7,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from trivalent import canonical_form, so3_eps, tensor_to_json_dict, theta, to_json_dict
+from trivalent import relations
 from trivalent.cli import main
 
 
@@ -182,10 +183,45 @@ class TestDelta:
         jsonschema.validate(rep, schema("report.schema.json"))
         assert rep["pass"] and rep["seed"] == 11
 
-    def test_too_many_permutations_is_a_usage_error(self, capsys):
-        code, out, err = run(capsys, "delta", "--algebra", "so3", "--k", "10",
+    def test_too_many_outcomes_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(relations, "DELTA_GUARD", 3)
+        code, out, err = run(capsys, "delta", "--algebra", "so3", "--k", "3",
                              "--h", "builtin:pid")
-        assert code == 2 and not out and err == "error: 10! permutations exceed the guard"
+        assert code == 2 and not out and err == "error: 4 outcomes (0! x 4) exceed the guard"
+
+    @pytest.mark.parametrize("source", [["--h", "builtin:pid"],
+                                        ["--corpus", "random:20", "--max-vertices", "4",
+                                         "--seed", "1"]], ids=["pid", "corpus"])
+    def test_so5_at_its_own_k(self, capsys, source):
+        # so(5) has dimension 10: k = 11, past the 10! permutations a walk could take
+        code, out, _ = run(capsys, "delta", "--algebra", "so:5", "--k", "11", *source, "--json")
+        rep = json.loads(out)
+        jsonschema.validate(rep, schema("report.schema.json"))
+        assert code == 0 and rep["pass"] and rep["residual"] == "0"
+
+    def test_complex_sums_on_the_scale_of_their_terms(self, capsys):
+        # sl(3) at k = 9: the terms reach 1e8 and round off near 1e-8, over an absolute 1e-9
+        code, out, _ = run(capsys, "delta", "--algebra", "sl:3", "--k", "9", "--corpus",
+                           "random:20", "--max-vertices", "4", "--seed", "1", "--json")
+        rep = json.loads(out)
+        jsonschema.validate(rep, schema("report.schema.json"))
+        assert code == 0 and rep["pass"]
+        assert rep["params"]["tol"] == pytest.approx(1e-9 * rep["params"]["scale"])
+
+    def test_complex_pid_fails_at_dim(self, capsys):
+        code, out, _ = run(capsys, "delta", "--algebra", "sl:2", "--k", "3", "--h", "builtin:pid")
+        assert code == 1 and out == "6 0"
+        code, out, _ = run(capsys, "delta", "--algebra", "sl:2", "--k", "3", "--h", "builtin:pid",
+                           "--json")
+        params = json.loads(out)["params"]
+        assert code == 1 and params["scale"] == 60 and params["tol"] == pytest.approx(6e-8)
+
+    @pytest.mark.parametrize("tol,expect", [("0.2", 1), ("6", 0)])
+    def test_explicit_tol_is_absolute(self, capsys, tol, expect):
+        # |6| against 0.2 fails, where 0.2 times the terms' size 60 would pass
+        code, out, _ = run(capsys, "delta", "--algebra", "sl:2", "--k", "3", "--h", "builtin:pid",
+                           "--tol", tol, "--json")
+        assert code == expect and json.loads(out)["params"]["tol"] == float(tol)
 
     @pytest.mark.parametrize("bad", [["--max-vertices", "-2"], ["--corpus", "random:-3"],
                                      ["--k", "-1"], ["--corpus", "walk:3"],
@@ -429,7 +465,7 @@ class TestGenEnumCanon:
 
 
 class TestInputContract:
-    """A loader refuses the top-level keys its shipped schema refuses."""
+    """A loader refuses the keys its shipped schema refuses, in table entries too."""
 
     @pytest.mark.parametrize("kind,argv,obj", [
         ("diagram", ["canon", "--graph"],
@@ -441,8 +477,14 @@ class TestInputContract:
          {"backend": "rational", "loop_value": 3, "entries": [], "name": "t"}),
         ("tensor", ["eval", "--graph", "builtin:theta", "--algebra"],
          {**tensor_to_json_dict(so3_eps()), "name": "so3"}),
+        ("table", ["delta", "--k", "2", "--h", "builtin:pid", "--algebra"],
+         {"loop_value": 3, "entries": [{"code": canonical_form(theta()).hex(), "value": -6,
+                                        "note": "x"}]}),
+        ("table", ["delta", "--k", "2", "--h", "builtin:pid", "--algebra"],
+         {"loop_value": 3, "entries": [canonical_form(theta()).hex()]}),
     ], ids=["diagram_without_legs", "diagram_extra_key", "table_without_entries",
-            "table_extra_key", "tensor_extra_key"])
+            "table_extra_key", "tensor_extra_key", "table_entry_extra_key",
+            "table_entry_not_an_object"])
     def test_schema_refusals_exit_2(self, capsys, tmp_path, kind, argv, obj):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(obj, schema(f"{kind}.schema.json"))

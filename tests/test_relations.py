@@ -1,4 +1,5 @@
 import cmath
+import collections
 import itertools
 import math
 import random
@@ -52,11 +53,13 @@ from trivalent import (
     vertexless_loop,
 )
 from trivalent import evaluation, relations
-from trivalent.algebras import TOL, StructureTensor, zero, zeros_array
+from trivalent.algebras import TOL, StructureTensor, zeros_array
+from trivalent.diagrams import _leg_label_map, _slots_diagram
 from trivalent.errors import LegCountMismatch, TableMiss, TooLarge, ZeroDimension
-from trivalent.relations import _rank_fraction_free, _rank_svd
+from trivalent.relations import _rank_fraction_free, _rank_svd, delta_bound
 
 from oracles import (
+    delta_by_antisymmetrizer,
     delta_by_gluing,
     delta_outcomes_by_walk,
     lexicographic_signs,
@@ -160,12 +163,15 @@ class TestDeltaSum:
         rep = delta_check(f, 3, [tri_star(2)], tol=0)
         assert not rep["pass"]
 
-    def test_guards(self):
+    def test_guards(self, monkeypatch):
         f = TensorBacked(abelian(2))
         with pytest.raises(LegCountMismatch):
             delta_sum(f, 2, identity_pairing(3))
-        with pytest.raises(TooLarge):
-            delta_sum(f, 10, identity_pairing(10))
+        # all 20 legs at vertices: 10! x 1 outcomes, refused before any is built
+        h = _slots_diagram(8, 20, [(i, 24 + i) for i in range(20)] + [(20, 21), (22, 23)])
+        monkeypatch.setattr(FixedDiagram, "_raw", None)
+        with pytest.raises(TooLarge, match=r"^3628800 outcomes \(10! x 1\) exceed the guard$"):
+            delta_sum(f, 10, h)
 
     def test_report_shape(self):
         f = TensorBacked(abelian(2))
@@ -174,8 +180,68 @@ class TestDeltaSum:
         assert rep["seed"] == 99
 
 
+class TestDeltaScale:
+    """By default a complex sum is held to TOL times the size of its terms."""
+
+    def test_scale_is_the_size_of_the_terms(self):
+        f = TensorBacked(sl2_killing())
+        for h in _hs(3, 20, 11):
+            val, bound, scale = delta_bound(f, 3, h, TOL, relative=True)
+            terms = [count * f.evaluate(glue(permutation_diagram(pi), h))
+                     for count, pi in delta_outcomes_by_walk(3, h)]
+            assert abs(scale - sum(map(abs, terms))) <= TOL * scale and bound == TOL * scale
+            assert delta_bound(f, 3, h, TOL) == (val, TOL, scale)
+
+    def test_sl3_at_k9_passes(self):
+        # sl(3) has dimension 8; the terms reach 1e8 and round off near 1e-8
+        rep = delta_check(TensorBacked(sl_n_trace(3)), 9, _hs(9, 20, 1), TOL, relative=True)
+        assert rep["pass"] and rep["params"]["tol"] == TOL * rep["params"]["scale"] > 0
+
+    def test_real_failures_still_fail(self):
+        for f in (TensorBacked(sl2_killing()), TensorBacked(so3_eps())):
+            # k = n: n! = 6 against terms of size 3 * 4 * 5
+            rep = delta_check(f, 3, [identity_pairing(3)], TOL if f.backend == "complex" else 0,
+                              relative=True)
+            assert not rep["pass"] and abs(rep["residual"] - 6) < 1e-9
+            assert rep["params"]["scale"] == 60
+        table = {canonical_form(theta()): 7j, canonical_form(flip_vertex(theta(), 0)): 5j}
+        rep = delta_check(TableBacked(2, table, "complex"), 3, [tri_star(2)], TOL, relative=True)
+        assert not rep["pass"] and rep["residual"] == 6
+
+    def test_a_failing_sum_is_reported_before_a_larger_passing_one(self, monkeypatch):
+        hs = [identity_pairing(k) for k in range(3)]
+        sums = {id(hs[0]): (5.0, 10.0, 1e10), id(hs[1]): (2.0, 1.0, 1e9), id(hs[2]): (0, 0, 0)}
+        monkeypatch.setattr(relations, "delta_bound", lambda f, k, h, tol, rel: sums[id(h)])
+        rep = delta_check(TensorBacked(sl2_killing()), 3, hs, TOL, relative=True)
+        assert not rep["pass"] and rep["residual"] == 2.0 and rep["params"]["tol"] == 1.0
+        assert rep["params"]["worst"] == canonical_form(hs[1]).decode()
+        del sums[id(hs[1])], hs[1]
+        rep = delta_check(TensorBacked(sl2_killing()), 3, hs, TOL, relative=True)
+        assert rep["pass"] and rep["residual"] == 5.0 and rep["params"]["scale"] == 1e10
+
+
 def _hs(k, count, seed):
     return list(random_diagram_corpus(2 * k, count, 4, seed=seed)) + [identity_pairing(k)]
+
+
+def _same_side_chord(k, h):
+    """True iff a leg-to-leg edge of h joins two top legs (labels 1..k) or two bottom ones."""
+    lab = _leg_label_map(h)
+    return any(lab[h.partner[d]] and (i < k) == (lab[h.partner[d]] <= k)
+               for i, d in enumerate(h.legs))
+
+
+def _top_bottom(k, v, p, seed):
+    """A 2k-legged h on v vertices whose chords all join a top leg to a bottom
+    one: p random legs of each side sit at random vertex slots, the other
+    slots pair up among themselves and the other legs across the sides."""
+    rng = random.Random(seed)
+    slots = rng.sample(range(3 * v), 3 * v)
+    tops, bottoms = rng.sample(range(k), k), rng.sample(range(k, 2 * k), k)
+    pairs = [(s, 3 * v + leg) for s, leg in zip(slots, tops[:p] + bottoms[:p])]
+    pairs += list(zip(slots[2 * p::2], slots[2 * p + 1::2]))
+    pairs += [(3 * v + a, 3 * v + b) for a, b in zip(tops[p:], bottoms[p:])]
+    return _slots_diagram(v, 2 * k, pairs)
 
 
 class _Counting:
@@ -187,6 +253,15 @@ class _Counting:
     def evaluate(self, g):
         self.seen.append(g)
         return self.f.evaluate(g)
+
+
+class _One:
+    """The weight system that is 1 on every diagram: its signed sum is sum sgn(pi)."""
+
+    backend = "rational"
+
+    def evaluate(self, g):
+        return Fraction(1)
 
 
 def _literal(g):
@@ -220,7 +295,7 @@ class TestDeltaByOutcome:
         f = TensorBacked(so_n_rational(4))
         corpus = random_diagram_corpus(14, 50, 4, seed=30023)
         hs = [identity_pairing(7)] + [next(h for h in corpus if h.num_vertices == v)
-                                      for v in (2, 4)]
+                                      for v in (2, 4)] + [_top_bottom(7, 4, 3, 1)]
         for h in hs:
             val = delta_sum(f, 7, h)
             assert type(val) is Fraction and val == delta_by_gluing(f, 7, h)
@@ -231,14 +306,15 @@ class TestDeltaByOutcome:
             ref = delta_by_gluing(f, 3, h)
             assert abs(delta_sum(f, 3, h) - ref) <= TOL * max(1.0, abs(ref))
 
-    def test_evaluates_each_distinct_glued_diagram_once(self):
+    def test_evaluates_each_nonzero_outcome_once(self):
         f = TensorBacked(so3_eps())
-        for h in _hs(4, 40, 11):
+        for h in _hs(4, 40, 11) + [_top_bottom(4, 4, 2, seed) for seed in range(5)]:
             counting = _Counting(f)
             delta_sum(counting, 4, h)
-            glued = {_literal(glue(permutation_diagram(pi), h))
-                     for pi in itertools.permutations(range(1, 5))}
+            glued = [_literal(glue(permutation_diagram(pi), h))
+                     for count, pi in delta_outcomes_by_walk(4, h) if count]
             assert sorted(map(_literal, counting.seen)) == sorted(glued)
+            assert not glued == _same_side_chord(4, h)
 
     def test_identity_pairing_one_evaluation_per_cycle_count(self):
         for n, k in itertools.product(range(1, 5), range(1, 7)):
@@ -261,7 +337,7 @@ class TestDeltaByOutcome:
         f = TableBacked(Fraction(3), table)
         sums = [delta_sum(f, 3, h) for h in hs]
         assert sums == [delta_by_gluing(f, 3, h) for h in hs] and any(sums)
-        h = next(h for h in hs if h.num_vertices)
+        h = next(h for h in hs if h.num_vertices and not _same_side_chord(3, h))
         comp = next(c for c in components(glue(identity_pairing(3), h)) if c.num_vertices)
         del table[canonical_form(comp)]
         f = TableBacked(Fraction(3), table)
@@ -269,6 +345,18 @@ class TestDeltaByOutcome:
             delta_sum(f, 3, h)
         with pytest.raises(TableMiss):
             delta_by_gluing(f, 3, h)
+
+    def test_same_side_chord_reads_no_table_entry(self):
+        # pi and pi o (i i') glue one diagram with opposite signs, for every f
+        empty = TableBacked(Fraction(3), {})
+        hs = [h for h in _hs(4, 40, 11) if h.num_vertices and _same_side_chord(4, h)]
+        assert len(hs) > 10
+        for h in hs:
+            val = delta_sum(empty, 4, h)
+            assert type(val) is Fraction and val == 0
+            assert delta_bound(empty, 4, h) == (0, 0, 0)
+            with pytest.raises(TableMiss):
+                delta_by_gluing(empty, 4, h)
 
 
 def _chorded(k, chords, at_vertex=()):
@@ -280,8 +368,28 @@ def _chorded(k, chords, at_vertex=()):
     return FixedDiagram(vertices, range(1, 2 * k + 1), edges)
 
 
+def _by_code(outcomes, h=None):
+    """{canonical code: summed count}, zero sums left out; given h, the outcomes
+    are the walk's (count, pi) and the code is that of P_pi glued to h."""
+    out = collections.Counter()
+    for count, g in outcomes:
+        out[canonical_form(g if h is None else glue(permutation_diagram(g), h))] += count
+    return {code: n for code, n in out.items() if n}
+
+
+def _against_walk(k, h):
+    outcomes = list(relations._delta_outcomes(k, h))
+    walk = delta_outcomes_by_walk(k, h)
+    assert _by_code(outcomes) == _by_code(walk, h)
+    if _same_side_chord(k, h):
+        assert not outcomes and not any(count for count, _ in walk)
+    else:
+        assert sum(abs(count) for count, _ in outcomes) == math.factorial(k)
+    return outcomes
+
+
 class TestDeltaOutcomes:
-    """The array pass over all k! permutations against the per-permutation walk."""
+    """The closed form against the per-permutation walk, outcome by outcome."""
 
     SHAPED = {
         # pi = id closes a 4-leg loop (3-4-8-7) next to two 2-leg loops
@@ -289,57 +397,101 @@ class TestDeltaOutcomes:
         "top_top_bottom_bottom": _chorded(4, [(1, 2), (7, 8)], at_vertex=(3, 4, 5, 6)),
         # pi = id walks 1-6-2-7-3-8-4-9 through four joins and three chords
         "chain": _chorded(5, [(6, 2), (7, 3), (8, 4)], at_vertex=(1, 5, 9, 10)),
+        "top_bottom_only": _chorded(4, [(1, 6), (2, 5)], at_vertex=(3, 4, 7, 8)),
+        "all_at_vertices_across": _chorded(2, [], at_vertex=(1, 3, 2, 4)),
     }
 
     @pytest.mark.parametrize("k,count,seed", [(3, 40, 11), (4, 40, 11), (3, 50, 30021),
                                               (4, 50, 30022)])
     def test_random_corpora(self, k, count, seed):
         for h in _hs(k, count, seed):
-            assert relations._delta_outcomes(k, h) == delta_outcomes_by_walk(k, h)
+            _against_walk(k, h)
+
+    def test_top_bottom_chords_only(self):
+        for k, v, p in [(2, 2, 2), (3, 2, 2), (3, 4, 3), (4, 2, 1), (4, 4, 3), (5, 4, 2),
+                        (5, 6, 4), (6, 4, 3)]:
+            for seed in range(4):
+                h = _top_bottom(k, v, p, seed)
+                assert _against_walk(k, h)
+                assert _against_walk(k, disjoint_union(h, vertexless_loop()))  # h's own loop
 
     def test_k7_and_k8(self):
         corpus = random_diagram_corpus(14, 50, 4, seed=30023)
         cases = [(7, next(h for h in corpus if h.num_vertices == v)) for v in (2, 4)]
         cases += [(8, h) for h in random_diagram_corpus(16, 6, 4, seed=8) if h.num_vertices][:2]
+        cases += [(7, _top_bottom(7, 4, 4, 1)), (8, _top_bottom(8, 4, 3, 2))]
         for k, h in cases:
-            assert relations._delta_outcomes(k, h) == delta_outcomes_by_walk(k, h)
+            _against_walk(k, h)
 
     def test_identity_pairings(self):
         for k in range(9):
-            h = identity_pairing(k)
-            assert relations._delta_outcomes(k, h) == delta_outcomes_by_walk(k, h)
+            outcomes = _against_walk(k, identity_pairing(k))
+            assert len(outcomes) == max(k, 1)
 
     @pytest.mark.parametrize("name", sorted(SHAPED))
     def test_shaped(self, name):
         h = self.SHAPED[name]
-        k = h.num_legs // 2
-        outcomes = relations._delta_outcomes(k, h)
-        assert outcomes == delta_outcomes_by_walk(k, h)
-        assert sum(abs(count) for count, _ in outcomes) <= math.factorial(k)
+        _against_walk(h.num_legs // 2, h)
 
     @pytest.mark.parametrize("make", [sl2_killing, lambda: sl_n_trace(3)],
                              ids=["sl2_killing", "sl3_trace"])
     @pytest.mark.parametrize("k", [3, 4])
-    def test_complex_sums_bit_identical(self, make, k):
+    def test_complex_sums_within_tol(self, make, k):
         f = TensorBacked(make())
-        for h in _hs(k, 12, 11):
-            ref = zero(f.backend)
-            for count, pi in delta_outcomes_by_walk(k, h):
-                ref = ref + count * f.evaluate(glue(permutation_diagram(pi), h))
-            assert delta_sum(f, k, h) == ref
+        for h in _hs(k, 12, 11) + [_top_bottom(k, 2, 2, 5)]:
+            terms = [count * f.evaluate(glue(permutation_diagram(pi), h))
+                     for count, pi in delta_outcomes_by_walk(k, h)]
+            assert abs(delta_sum(f, k, h) - sum(terms)) <= TOL * max(1.0, sum(map(abs, terms)))
 
-    def test_bounded_at_the_guard(self):
-        f = TensorBacked(abelian(9))
-        h = next(h for h in random_diagram_corpus(18, 20, 4, seed=9) if h.num_vertices == 4)
-        assert delta_sum(f, 9, identity_pairing(9)) == math.factorial(9)
-        for g in (identity_pairing(9), h):
-            tracemalloc.start()
-            try:
-                delta_sum(f, 9, g)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 16 * 2 ** 20
+    def test_outcomes_are_streamed(self):
+        # 14 of 16 legs at vertices and one chord: 7! x 2 = 10,080 outcomes, 3 MB
+        # as a list, read one at a time; the constant f sums sgn over S_8 to 0
+        h = _slots_diagram(6, 16, [(i, 18 + i) for i in range(7)]
+                           + [(7 + i, 26 + i) for i in range(7)] + [(25, 33), (14, 15), (16, 17)])
+        tracemalloc.start()
+        try:
+            assert delta_sum(_One(), 8, h) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+class TestDeltaAboveTheOldGuard:
+    """k >= 9, past any walk over the k! permutations."""
+
+    def test_antisymmetrizer_oracle_where_it_is_not_zero(self):
+        for c, k in ((so3_eps(), 3), (random_structure_tensor(3, seed=4), 3),
+                     (random_structure_tensor(4, seed=2), 2)):
+            f = TensorBacked(c)
+            hs = _hs(k, 8, 7) + [_top_bottom(k, 2, 2, 3)]
+            vals = [delta_by_antisymmetrizer(c, k, h) for h in hs]
+            assert vals == [delta_by_gluing(f, k, h) for h in hs] and any(vals)
+
+    def test_n2_at_k9_against_the_antisymmetrizer(self):
+        # Z(h) has 2^18 entries; the antisymmetrizer of 9 indices over 2 colours is zero
+        c = random_structure_tensor(2, seed=9)
+        f = TensorBacked(c)
+        for h in [identity_pairing(9), _top_bottom(9, 2, 2, 1), _top_bottom(9, 4, 3, 2)]:
+            val = delta_sum(f, 9, h)
+            assert type(val) is Fraction and val == delta_by_antisymmetrizer(c, 9, h) == 0
+
+    @pytest.mark.parametrize("k", [9, 10, 11])
+    def test_sampled_permutations(self, k):
+        # every sampled P_pi glued to h is an outcome, and its count has sgn(pi)
+        rng = random.Random(k)
+        for h in [identity_pairing(k), _top_bottom(k, 2, 2, k), _top_bottom(k, 4, 4, k),
+                  _top_bottom(k, 6, 6, k)]:
+            outcomes = {_literal(g): count for count, g in relations._delta_outcomes(k, h)}
+            assert sum(map(abs, outcomes.values())) == math.factorial(k)
+            for _ in range(40):
+                pi = rng.sample(range(1, k + 1), k)
+                count = outcomes[_literal(glue(permutation_diagram(pi), h))]
+                assert count * permutation_sign(pi) > 0
+
+    def test_falling_factorials(self):
+        for n, k in ((9, 9), (12, 10), (5, 11), (11, 11)):
+            assert delta_sum(TensorBacked(abelian(n)), k, identity_pairing(k)) == falling(n, k)
 
 
 class TestConnectionMatrix:
