@@ -11,7 +11,6 @@ from .algebras import (
     COMPLEX,
     RATIONAL,
     TOL,
-    MetricLieAlgebra,
     StructureTensor,
     abelian,
     antisymmetry_check,
@@ -19,7 +18,6 @@ from .algebras import (
     direct_sum,
     gl_n_trace,
     jacobi_check,
-    orthonormalize,
     random_structure_tensor,
     scale_tensor,
     sl2_killing,

@@ -1,4 +1,4 @@
-"""Scalar backends, structure tensors, and metric Lie algebra generators.
+"""Scalar backends, structure tensors, and named Lie algebra generators.
 
 Two backends: exact rationals and double-precision complex.  A rational
 array is an object array whose entries are Python `int`s where the value
@@ -7,15 +7,15 @@ that form is chosen); a tensor contracts as D*c, D the lcm of its
 denominators, in Python ints, which cannot overflow.  Every exact scalar
 handed to a caller is a `Fraction` (`as_scalar`).  The rational backend
 exists because so(n) has integer structure constants in a suitable basis,
-which makes rank and relation tests exact; Killing-normalized algebras
-force complex floats through the square roots in orthonormalization.
+which makes rank and relation tests exact; sl(n), gl(n) and the
+Killing-normalized sl(2) have square roots in their orthonormal bases and
+use complex floats.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -23,11 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import (
-    BackendMismatch,
-    DegenerateForm,
-    OrthonormalizationFailed,
-)
+from .errors import BackendMismatch
 
 RATIONAL = "rational"
 COMPLEX = "complex"
@@ -208,94 +204,6 @@ def scale_tensor(c: StructureTensor, mu) -> StructureTensor:
 
 
 # ---------------------------------------------------------------------------
-# metric Lie algebras on arbitrary bases
-# ---------------------------------------------------------------------------
-
-class MetricLieAlgebra:
-    """Bracket constants B[i][j][k] (meaning [u_i,u_j] = sum_k B[i][j][k] u_k)
-    plus the Gram matrix of a nondegenerate invariant symmetric form."""
-
-    __slots__ = ("dim", "bracket", "gram", "backend")
-
-    def __init__(self, dim, bracket, gram, backend=COMPLEX, check=True):
-        self.dim = int(dim)
-        self.backend = backend
-        self.bracket = _array(bracket, backend)
-        self.gram = _array(gram, backend)
-        if self.bracket.shape != (dim, dim, dim) or self.gram.shape != (dim, dim):
-            raise ValueError("bad bracket/gram shape")
-        if check and dim > 0:
-            self._check()
-
-    def _scale(self):
-        return max(1.0, float(max_abs(self.bracket)), float(max_abs(self.gram)))
-
-    def _check(self):
-        tolr = 0 if self.backend == RATIONAL else TOL * self._scale()
-        if max_abs(self.gram - self.gram.T) > tolr:
-            raise ValueError("gram matrix not symmetric")
-        if max_abs(self.bracket + self.bracket.transpose(1, 0, 2)) > tolr:
-            raise ValueError("bracket not antisymmetric")
-        # Jacobi: [[ui,uj],uk] + [[uj,uk],ui] + [[uk,ui],uj] = 0
-        b = self.bracket
-        if _jacobi_residual(b) > tolr:
-            raise ValueError("bracket fails the Jacobi identity")
-        # ad-invariance: <[ui,uj],uk> = <ui,[uj,uk]>
-        lhs = np.tensordot(b, self.gram, axes=([2], [0]))  # [i,j,k]
-        rhs = np.tensordot(b, self.gram, axes=([2], [1])).transpose(2, 0, 1)
-        # rhs[i,j,k] = sum_m B_jkm G_im
-        if max_abs(lhs - rhs) > tolr:
-            raise ValueError("form is not ad-invariant")
-        det = np.linalg.det(np.asarray(self.gram, dtype=complex))
-        if abs(det) < 1e-12 * self._scale() ** self.dim:
-            raise DegenerateForm(f"gram determinant {det}")
-
-
-def orthonormalize(g: MetricLieAlgebra) -> StructureTensor:
-    """Structure tensor on a computed orthonormal basis of the form.
-
-    Non-conjugated bilinear Gram-Schmidt over the complex numbers with
-    principal-branch square roots, in one pass over the standard basis:
-    each step takes the first candidate whose residual is not isotropic.
-    If every residual left is isotropic, the form, nondegenerate on their
-    span, pairs two of them, r_i and r_j; r_i + r_j then has square norm
-    2 B(r_i, r_j) != 0 and is taken in place of r_i.
-    """
-    n = g.dim
-    gram = np.asarray(g.gram, dtype=complex)
-    bracket = np.asarray(g.bracket, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(gram)))) if n else 1.0
-    if n and abs(np.linalg.det(gram)) < 1e-12 * scale ** n:
-        raise DegenerateForm("gram matrix is numerically singular")
-    iso_tol = 1e-10 * scale
-
-    res = np.eye(n, dtype=complex)  # residuals of the candidates not yet taken
-    basis = []
-    while len(res):
-        nrm2 = np.einsum("ij,jk,ik->i", res, gram, res)
-        i = int(np.argmax(np.abs(nrm2) > iso_tol))
-        if abs(nrm2[i]) <= iso_tol:
-            pairing = np.abs(res @ gram @ res.T)
-            i, j = np.unravel_index(np.argmax(pairing), pairing.shape)
-            if pairing[i, j] <= iso_tol:
-                raise OrthonormalizationFailed("the form vanishes on the residuals left")
-            res[i] += res[j]
-            nrm2[i] = res[i] @ gram @ res[i]
-        b = res[i] / cmath.sqrt(nrm2[i])
-        res = np.delete(res, i, axis=0)
-        res -= np.outer(res @ gram @ b, b)
-        basis.append(b)
-    s = np.array(basis).reshape(n, n)  # (0, 0), not (0,), for the zero algebra
-    ent = np.einsum("ai,bj,ijm,ml,cl->abc", s, s, bracket, gram, s, optimize=True)
-    c = StructureTensor(n, ent, COMPLEX, lie=True, check=False)
-    bound = TOL * max(1.0, float(max_abs(c.entries)))
-    if cyclic_check(c) > bound or antisymmetry_check(c) > bound or \
-            jacobi_check(c) > TOL * max(1.0, float(max_abs(c.entries)) ** 2):
-        raise OrthonormalizationFailed("output tensor failed re-verification")
-    return c
-
-
-# ---------------------------------------------------------------------------
 # named generators
 # ---------------------------------------------------------------------------
 
@@ -326,13 +234,6 @@ def _brackets(mats, coords):
                     dtype=object).reshape(d, d, d)
 
 
-def _trace_gram(mats):
-    """tr(X_p X_q), the trace form on a basis of matrices, shape (d, d)."""
-    d = len(mats)
-    return np.array([np.trace(x @ y) for x in mats for y in mats],
-                    dtype=object).reshape(d, d)
-
-
 def so_n_rational(n: int) -> StructureTensor:
     """so(n) on the basis E_ab - E_ba (a<b), with the form declaring it orthonormal.
 
@@ -350,37 +251,35 @@ def sl2_killing() -> StructureTensor:
     return scale_tensor(so3_eps().to_complex(), mu)
 
 
-def sl_algebra(n: int) -> MetricLieAlgebra:
-    """sl(n) on the basis {E_ij (i != j)} + {E_ll - E_(l+1)(l+1)}, trace-form gram.
-
-    Bracket constants and gram entries are exact integers on this basis.
+def _gell_mann(n: int, traceless: bool) -> StructureTensor:
+    """sl(n) (traceless) or gl(n) on the Hermitian generalized Gell-Mann
+    matrices, orthonormal for tr(XY): (E_jk + E_kj)/sqrt2 and
+    -i(E_jk - E_kj)/sqrt2 for j < k, then (E_11 + ... + E_ll - l E_(l+1)(l+1))
+    / sqrt(l(l+1)) for l = 1..n-1 (sl) or the E_jj (gl).  For Hermitian X,
+    c_abc = tr(X_a [X_b, X_c]) = 2i Im tr(X_a X_b X_c): i times a real tensor.
     """
-    off = [(i, j) for i in range(n) for j in range(n) if i != j]
-    mats = [_unit(n, i, j) for i, j in off]
-    mats += [_unit(n, l, l) - _unit(n, l + 1, l + 1) for l in range(n - 1)]
-
-    def coords(x):
-        # a traceless diagonal is sum_l mu_l H_l with mu_l = d_0 + ... + d_l
-        return [x[i, j] for i, j in off] + list(itertools.accumulate(x.diagonal()))[:n - 1]
-
-    return MetricLieAlgebra(len(mats), _brackets(mats, coords), _trace_gram(mats),
-                            backend=RATIONAL)
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    diag = range(1, n) if traceless else range(n)
+    x = np.zeros((2 * len(pairs) + len(diag), n, n), dtype=complex)
+    r = 1 / math.sqrt(2)
+    for p, (j, k) in enumerate(pairs):
+        x[2 * p, j, k] = x[2 * p, k, j] = r
+        x[2 * p + 1, j, k], x[2 * p + 1, k, j] = -1j * r, 1j * r
+    for m, l in enumerate(diag, 2 * len(pairs)):
+        if traceless:
+            x[m, :l + 1, :l + 1] = np.diag([1] * l + [-l]) / math.sqrt(l * (l + 1))
+        else:
+            x[m, l, l] = 1
+    ent = 2j * np.einsum("aij,bjk,cki->abc", x, x, x, optimize=True).imag
+    return StructureTensor(len(x), ent, COMPLEX, lie=True, check=False)
 
 
 def sl_n_trace(n: int) -> StructureTensor:
-    return orthonormalize(sl_algebra(n))
-
-
-def gl_algebra(n: int) -> MetricLieAlgebra:
-    """gl(n) on the basis E_ij (index i*n + j) with the trace form."""
-    mats = [_unit(n, i, j) for i in range(n) for j in range(n)]
-    return MetricLieAlgebra(n * n, _brackets(mats, lambda x: x.reshape(-1)),
-                            _trace_gram(mats), backend=RATIONAL)
+    return _gell_mann(n, traceless=True)
 
 
 def gl_n_trace(n: int) -> StructureTensor:
-    return orthonormalize(gl_algebra(n))
-
+    return _gell_mann(n, traceless=False)
 
 # ---------------------------------------------------------------------------
 # random tensors and JSON

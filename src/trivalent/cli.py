@@ -79,10 +79,13 @@ def _weights_from_json_dict(obj):
         return TensorBacked(algebras.tensor_from_json_dict(obj))
     algebras._check_keys(obj, "table")
     backend = obj.get("backend", RATIONAL)
+    table = {}
     for ent in obj["entries"]:
         algebras._check_keys(ent, "table", "entries")
-    table = {bytes.fromhex(ent["code"]): _parse_value(ent["value"], backend)
-             for ent in obj["entries"]}
+        code = bytes.fromhex(ent["code"])
+        if code.hex() != ent["code"]:  # the schema allows lower-case hex digits only
+            raise ValueError(f"code {ent['code']!r} is not lower-case hex")
+        table[code] = _parse_value(ent["value"], backend)
     return TableBacked(_parse_value(obj["loop_value"], backend), table, backend)
 
 
@@ -142,16 +145,18 @@ def cmd_eval(args):
 def cmd_check(args):
     c = load_algebra(args.algebra)
     run_all = args.all or not (args.jacobi or args.as_check or args.ihx)
-    tol = args.tol if args.tol is not None else (0 if c.backend == RATIONAL else algebras.TOL)
-    reports = []
-    if args.jacobi or run_all:
-        reports.append(("jacobi", algebras.jacobi_check(c)))
-    if args.as_check or run_all:
-        reports.append(("as", relations.as_residual(c)))
-    if args.ihx or run_all:
-        reports.append(("ihx", relations.ihx_residual(c)))
-    out = [relations.check_report(name, {"algebra": args.algebra, "dim": c.dim}, residual, tol)
-           for name, residual in reports]
+    # an explicit --tol is absolute; by default a residual of degree d in c is
+    # held to TOL * max(1, max|c|)**d, and to 0 when exact
+    scale = 0 if c.backend == RATIONAL else max(1.0, algebras.max_abs(c.entries))
+    out = []
+    for name, chosen, residual, degree in (
+            ("jacobi", args.jacobi, algebras.jacobi_check, 2),
+            ("as", args.as_check, relations.as_residual, 1),
+            ("ihx", args.ihx, relations.ihx_residual, 2)):
+        if chosen or run_all:
+            tol = args.tol if args.tol is not None else algebras.TOL * scale ** degree
+            params = {"algebra": args.algebra, "dim": c.dim, "tol": float(tol)}
+            out.append(relations.check_report(name, params, residual(c), tol))
     _emit(out, "\n".join(map(_report_line, out)), args)
     return 0 if all(rep["pass"] for rep in out) else 1
 

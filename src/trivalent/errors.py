@@ -69,14 +69,6 @@ class BackendMismatch(TrivalentError):
     pass
 
 
-class DegenerateForm(TrivalentError):
-    pass
-
-
-class OrthonormalizationFailed(TrivalentError):
-    pass
-
-
 class ZeroDimension(TrivalentError):
     pass
 

@@ -8,18 +8,22 @@ import pytest
 from trivalent import (
     COMPLEX,
     RATIONAL,
-    MetricLieAlgebra,
+    TOL,
     StructureTensor,
+    TensorBacked,
     abelian,
     antisymmetry_check,
+    connection_matrix,
     cyclic_check,
     direct_sum,
+    enumerate_fixed_diagrams,
     gl_n_trace,
     jacobi_check,
     k4,
-    orthonormalize,
     partition_function,
+    random_diagram_corpus,
     random_structure_tensor,
+    rank,
     scale_tensor,
     sl2_killing,
     sl_n_trace,
@@ -30,10 +34,20 @@ from trivalent import (
     theta,
     vertexless_loop,
 )
-from trivalent.algebras import gl_algebra, sl_algebra, zeros_array
-from trivalent.errors import BackendMismatch, DegenerateForm
+from trivalent.algebras import zeros_array
+from trivalent.errors import BackendMismatch
 
-from oracles import eye_array, killing_gram, sl2_algebra_killing, so3_algebra
+from oracles import (
+    DegenerateForm,
+    MetricLieAlgebra,
+    eye_array,
+    gl_algebra,
+    killing_gram,
+    orthonormalize,
+    sl2_algebra_killing,
+    sl_algebra,
+    so3_algebra,
+)
 
 
 def all_generators():
@@ -171,6 +185,35 @@ class TestClosedForms:
             c = so_n_rational(n)
             square_sum = sum(x * x for x in c.entries.flat)
             assert partition_function(c, theta()) == -square_sum
+
+
+GELL_MANN = [(sl_n_trace, sl_algebra, n) for n in (2, 3, 4)] + \
+    [(gl_n_trace, gl_algebra, n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("make, data, n", GELL_MANN,
+                         ids=[f"{d.__name__[:2]}{n}" for _, d, n in GELL_MANN])
+class TestGellMannAgainstGramSchmidt:
+    """The closed-form Gell-Mann basis against the Gram-Schmidt search over the
+    bracket data: two orthonormal bases of one form give one weight system."""
+
+    def test_closed_values(self, make, data, n):
+        a, b = make(n), orthonormalize(data(n))
+        for g in random_diagram_corpus(0, 200, 8, seed=32):
+            va, vb = partition_function(a, g), partition_function(b, g)
+            assert abs(va - vb) <= TOL * max(1, abs(vb))
+
+    @pytest.mark.parametrize("legs", [2, 3])
+    def test_connection_ranks(self, make, data, n, legs):
+        corpus = enumerate_fixed_diagrams(legs, 4)
+        ranks = [rank(connection_matrix(TensorBacked(c), corpus))
+                 for c in (make(n), orthonormalize(data(n)))]
+        assert ranks[0] == ranks[1]
+
+    def test_float64_path_and_residuals(self, make, data, n):
+        c = make(n)
+        assert c.scaled[1].dtype == np.float64
+        assert antisymmetry_check(c) <= 1e-14 and jacobi_check(c) <= 1e-14
 
 
 class TestSums:

@@ -2,12 +2,25 @@ import json
 from importlib import resources
 from time import perf_counter
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from trivalent import canonical_form, so3_eps, tensor_to_json_dict, theta, to_json_dict
-from trivalent import relations
+from trivalent import (
+    COMPLEX,
+    TOL,
+    StructureTensor,
+    canonical_form,
+    random_structure_tensor,
+    relations,
+    scale_tensor,
+    sl_n_trace,
+    so3_eps,
+    tensor_to_json_dict,
+    theta,
+    to_json_dict,
+)
 from trivalent.cli import main
 
 
@@ -144,6 +157,25 @@ class TestCheck:
         assert code == 0 and [rep["check"] for rep in reports] == ["jacobi", "as", "ihx"]
         assert all(rep["pass"] and rep["residual"] < 1e-12 for rep in reports)
 
+    @pytest.mark.parametrize("off, expect", [(0, 0), (1e-6, 1)])
+    def test_complex_residuals_on_the_scale_of_the_tensor(self, capsys, tmp_path, off, expect):
+        # sl(3) times 1e4 is a Lie algebra whose Jacobi rounding is 7e-8 absolute;
+        # moving its entries by `off` of their size breaks the Jacobi identity
+        c = scale_tensor(sl_n_trace(3), 1e4)
+        bump = random_structure_tensor(8, seed=3, antisymmetric=True).to_complex().entries
+        top = np.abs(c.entries).max()
+        c = StructureTensor(8, c.entries + off * top * bump / np.abs(bump).max(), COMPLEX)
+        p = tmp_path / "sl3e4.json"
+        p.write_text(json.dumps(tensor_to_json_dict(c)))
+        code, out, _ = run(capsys, "check", "--algebra", str(p), "--all", "--json")
+        reports = json.loads(out)
+        assert code == expect
+        assert [rep["pass"] for rep in reports] == [not off, True, not off]
+        assert [rep["params"]["tol"] for rep in reports] == \
+            pytest.approx([TOL * top ** 2, TOL * top, TOL * top ** 2])
+        code, out, _ = run(capsys, "check", "--algebra", str(p), "--jacobi", "--tol", "1e-9")
+        assert code == 1  # an explicit --tol stays absolute
+
     def test_exact_residuals_print_as_zero(self, capsys):
         code, out, _ = run(capsys, "check", "--algebra", "so:4", "--all", "--json")
         assert code == 0
@@ -251,7 +283,7 @@ def test_non_integer_algebra_n_is_a_usage_error(capsys, spec):
     assert err == f"error: algebra {spec!r}: N must be an integer"
 
 
-@pytest.mark.parametrize("spec", ["so:0", "abelian:0", "sl:1", "gl:0"])
+@pytest.mark.parametrize("spec", ["so:0", "abelian:0", "sl:1", "gl:0", "gl:1"])
 def test_zero_dimensional_algebras_evaluate(capsys, spec):
     code, out, _ = run(capsys, "eval", "--algebra", spec, "--graph", "builtin:theta")
     assert code == 0 and out in ("0", "0 0")
@@ -482,9 +514,12 @@ class TestInputContract:
                                         "note": "x"}]}),
         ("table", ["delta", "--k", "2", "--h", "builtin:pid", "--algebra"],
          {"loop_value": 3, "entries": [canonical_form(theta()).hex()]}),
+        ("table", ["delta", "--k", "3", "--h", "builtin:pid", "--algebra"],
+         {"loop_value": 3, "entries": [{"code": canonical_form(theta()).hex().upper(),
+                                        "value": -6}]}),
     ], ids=["diagram_without_legs", "diagram_extra_key", "table_without_entries",
             "table_extra_key", "tensor_extra_key", "table_entry_extra_key",
-            "table_entry_not_an_object"])
+            "table_entry_not_an_object", "table_code_upper_case"])
     def test_schema_refusals_exit_2(self, capsys, tmp_path, kind, argv, obj):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(obj, schema(f"{kind}.schema.json"))
@@ -501,6 +536,14 @@ class TestInputContract:
         index = json.loads((out_dir / "index.json").read_text())
         for name, code in zip(index["files"], index["codes"]):
             assert run(capsys, "canon", "--graph", str(out_dir / name)) == (0, code, "")
+        assert run(capsys, "enum", "--legs", "0", "--max-vertices", "2",
+                   "--out", str(out_dir))[0] == 0
+        codes = json.loads((out_dir / "index.json").read_text())["codes"]
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"loop_value": 1, "entries": [
+            {"code": code, "value": 1} for code in codes]}))
+        assert run(capsys, "rank", "--weights", str(table), "--legs", "0",
+                   "--max-vertices", "2") == (0, "rank 1 bound 1 (pass)", "")
         p = tmp_path / "so4.json"
         assert run(capsys, "gen", "--algebra", "so:4", "--out", str(p))[0] == 0
         assert run(capsys, "eval", "--algebra", str(p), "--graph", "builtin:theta") == \
